@@ -161,15 +161,15 @@ def _rng_for(cfg: RunConfig, what: str) -> np.random.Generator:
     return np.random.default_rng(cfg.seed)
 
 
-def _info_distribution(state: QuantumState) -> dict[str, float]:
-    layout = state.layout
-    d = layout.qudit_dim
-    probs = measurement_distribution(state, layout.info_labels)
+def _distribution(state: QuantumState, regs: Sequence[str]) -> dict[str, float]:
+    """Outcome probabilities above the floor, keyed by digit string."""
+    probs = measurement_distribution(state, regs)
+    dmax = max(probs.shape)
     out = {}
     for digits in itertools.product(*[range(n) for n in probs.shape]):
         p = float(probs[digits])
         if p > defaults.PROB_FLOOR:
-            out[_digit_key(digits, d)] = p
+            out[_digit_key(digits, dmax)] = p
     return out
 
 
@@ -236,7 +236,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     note = f"constructed by qcr construct {fam}"
     write_state(state, args.out, note=note)
-    dist = _info_distribution(state)
+    dist = _distribution(state, state.layout.info_labels)
     regs = " ".join(f"{s.label}({s.dim})" for s in state.layout.subsystems)
     print(f"wrote {args.out}")
     print(f"registers: {regs}")
@@ -400,13 +400,7 @@ def cmd_measure(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         layout.require_crypto_form()
         regs = list(layout.info_labels)
-    probs = measurement_distribution(state, regs)
-    dmax = max(probs.shape)
-    dist = {}
-    for digits in itertools.product(*[range(n) for n in probs.shape]):
-        p = float(probs[digits])
-        if p > defaults.PROB_FLOOR:
-            dist[_digit_key(digits, dmax)] = p
+    dist = _distribution(state, regs)
     print(f"measurement on {', '.join(regs)}:")
     for key, p in dist.items():
         print(f"  {key}  {p:.12g}")

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, SystemLayout, index_set, standard_layout
+from .registers import DEALER, Subsystem, SystemLayout, index_set, standard_layout
 from .states import QuantumState, _check_unitary, apply_controlled
 
 
@@ -32,38 +32,16 @@ class ShieldSeed:
         matrix: np.ndarray | None = None,
     ) -> None:
         self.dims = tuple(int(x) for x in dims)
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError(f"shield dims must be positive, got {self.dims}")
-        total = self.total_dim
-        if (vector is None) == (matrix is None):
-            raise ValueError("provide exactly one of vector= or matrix=")
-        if vector is not None:
-            arr = np.array(vector, dtype=np.complex128)
-            if arr.shape != (total,):
-                raise ValueError(f"seed vector shape {arr.shape}, expected ({total},)")
-            norm2 = float(np.real(np.vdot(arr, arr)))
-            if abs(norm2 - 1.0) > defaults.STATE_TOL:
-                raise ValueError(f"seed vector norm^2 = {norm2!r}, expected 1")
-            self.vector: np.ndarray | None = arr
-            self.matrix: np.ndarray | None = None
-        else:
-            arr = np.array(matrix, dtype=np.complex128)
-            if arr.shape != (total, total):
-                raise ValueError(f"seed matrix shape {arr.shape}, expected ({total}, {total})")
-            if float(np.max(np.abs(arr - arr.conj().T))) > defaults.STATE_TOL:
-                raise ValueError("seed matrix is not Hermitian")
-            if abs(float(np.real(np.trace(arr))) - 1.0) > defaults.STATE_TOL:
-                raise ValueError("seed matrix trace is not 1")
-            self.vector = None
-            self.matrix = arr
-        arr.setflags(write=False)
-
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        if not self.dims:
+            raise ValueError("need at least one shield dimension")
+        parties = (DEALER,) + tuple(f"A{k}" for k in range(1, len(self.dims)))
+        layout = SystemLayout(tuple(
+            Subsystem(f"{p}.shield", p, "shield", d) for p, d in zip(parties, self.dims)
+        ))
+        state = QuantumState(layout, vector=vector, matrix=matrix)
+        self.vector: np.ndarray | None = state.vector if state.is_pure else None
+        self.matrix: np.ndarray | None = None if state.is_pure else state.matrix
+        self.total_dim = layout.total_dim
 
     @property
     def is_pure(self) -> bool:

@@ -7,14 +7,16 @@ measurement, reduced densities via M @ M^dag), which is what keeps the
 largest composed fixtures fast; nothing here ever eigendecomposes a matrix
 bigger than the caller's own density representation.
 
-Axis convention: reshaping a vector to ``layout.dims`` gives one axis per
-register in layout order; density matrices reshape to ``dims + dims`` with
-row axes first.
+Axis convention: arrays are flat, in layout order. Every operation that
+acts on some registers goes through ``_grouped``, which moves the named
+registers to the front of a vector, as ``(g, r)``, or of a matrix, as
+``(g, r, g, r)``, and hands back the map to flat layout order. Dimension-1
+registers carry no axis there, so the register count sets no ceiling.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +92,10 @@ class QuantumState:
     def dims(self) -> tuple[int, ...]:
         return self.layout.dims
 
+    @property
+    def _data(self) -> np.ndarray:
+        return self._vector if self._vector is not None else self._matrix
+
     def density_matrix(self) -> np.ndarray:
         """The density matrix, projecting a pure vector if needed."""
         if self._matrix is not None:
@@ -119,19 +125,9 @@ class QuantumState:
         """Reorder registers; label_order must be a permutation of the layout."""
         if sorted(label_order) != sorted(self.layout.labels):
             raise ValueError("label_order must be a permutation of the layout labels")
-        perm = [self.layout.position(l) for l in label_order]
-        new_layout = SystemLayout(tuple(self.layout.subsystems[p] for p in perm))
-        n = len(perm)
-        if self._vector is not None:
-            v = self._vector.reshape(self.dims).transpose(perm).reshape(-1)
-            return QuantumState(new_layout, vector=v, validate=False, copy=False)
-        axes = perm + [p + n for p in perm]
-        m = (
-            self._matrix.reshape(self.dims + self.dims)
-            .transpose(axes)
-            .reshape(self.dim, self.dim)
-        )
-        return QuantumState(new_layout, matrix=m, validate=False, copy=False)
+        new_layout = SystemLayout(tuple(self.layout.subsystem(l) for l in label_order))
+        grouped, _ = _grouped(self.layout, self._data, label_order)
+        return _wrap(new_layout, grouped.reshape(self._data.shape))
 
     def relabeled(self, mapping: dict[str, str]) -> QuantumState:
         """Rename registers without touching the data."""
@@ -143,9 +139,7 @@ class QuantumState:
             raise ValueError(
                 f"layout dims {new_layout.dims} incompatible with state dims {self.layout.dims}"
             )
-        if self._vector is not None:
-            return QuantumState(new_layout, vector=self._vector, validate=False, copy=False)
-        return QuantumState(new_layout, matrix=self._matrix, validate=False, copy=False)
+        return _wrap(new_layout, self._data)
 
     @classmethod
     def basis_state(cls, layout: SystemLayout, digits: Sequence[int]) -> QuantumState:
@@ -187,10 +181,59 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
     return QuantumState(layout, matrix=m, validate=False, copy=False)
 
 
-def _split_axes(layout: SystemLayout, labels: Sequence[str]) -> tuple[list[int], list[int]]:
-    chosen = layout.positions(labels)
-    rest = [i for i in range(len(layout)) if i not in set(chosen)]
-    return chosen, rest
+def _wrap(layout: SystemLayout, arr: np.ndarray) -> QuantumState:
+    """A state on layout holding arr: a vector when 1-D, else a density matrix."""
+    if arr.ndim == 1:
+        return QuantumState(layout, vector=arr, validate=False, copy=False)
+    return QuantumState(layout, matrix=arr, validate=False, copy=False)
+
+
+def _grouped(
+    layout: SystemLayout, arr: np.ndarray, labels: Sequence[str]
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Regroup a flat vector or matrix with the named registers in front.
+
+    A vector ``(dim,)`` comes back as ``(g, r)`` and a matrix ``(dim, dim)``
+    as ``(g, r, g, r)``: g runs over the named registers in the given order,
+    r over the other registers in layout order. The second value maps any
+    array with that element order back to flat layout order. Dimension-1
+    registers get no axis, so at most 2 x (nontrivial registers) axes are
+    ever used, far below numpy's limit at any dimension up to the cap.
+    """
+    pos = layout.positions(labels)
+    dims = layout.dims
+    chosen = set(pos)
+    order = pos + [i for i in range(len(dims)) if i not in chosen]
+    axis_of = {i: a for a, i in enumerate(i for i, d in enumerate(dims) if d > 1)}
+    perm = [axis_of[i] for i in order if i in axis_of]
+    shape = tuple(dims[i] for i in axis_of)
+    g = 1
+    for p in pos:
+        g *= dims[p]
+    n, k, flat = len(shape), arr.ndim, arr.shape
+    axes = perm if k == 1 else perm + [a + n for a in perm]
+    moved = tuple(shape[a] for a in perm) * k
+    grouped = arr.reshape(shape * k).transpose(axes).reshape((g, flat[0] // g) * k)
+
+    def ungroup(a: np.ndarray) -> np.ndarray:
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
+        return a.reshape(moved).transpose(inverse).reshape(flat)
+
+    return grouped, ungroup
+
+
+def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
+    """Outcome k of a grouped array: its index, probability and normalizer.
+
+    Outcome k is row k of a ``(g, r)`` vector, normalized by sqrt(p), or the
+    diagonal block k of a ``(g, r, g, r)`` matrix, normalized by p.
+    """
+    if grouped.ndim == 2:
+        row = grouped[k]
+        p = float(np.real(np.vdot(row, row)))
+        return (k,), p, np.sqrt(p)
+    p = float(np.real(np.trace(grouped[k, :, k, :])))
+    return (k, slice(None), k), p, p
 
 
 def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
@@ -201,31 +244,17 @@ def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     over = list(over)
     if not over:
         return state
-    pos, rest = _split_axes(state.layout, over)
-    new_layout = state.layout.without(over)
-    dims = state.dims
-    if state.is_pure and all(dims[p] == 1 for p in pos):
-        # dropping dimension-1 axes leaves the flat vector unchanged
+    layout = state.layout
+    pos = layout.positions(over)
+    new_layout = layout.without(over)
+    if state.is_pure and all(layout.dims[p] == 1 for p in pos):
+        # dropping dimension-1 registers leaves the flat vector unchanged
         return QuantumState(new_layout, vector=state.vector, validate=False, copy=False)
-    keep_dim = new_layout.total_dim
+    m, _ = _grouped(layout, state._data, new_layout.labels)
     if state.is_pure:
-        over_dim = state.dim // keep_dim
-        m = state.vector.reshape(dims).transpose(rest + pos).reshape(keep_dim, over_dim)
         rho = m @ m.conj().T
-        return QuantumState(new_layout, matrix=rho, validate=False, copy=False)
-    n = len(dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * n > len(letters):
-        raise ValueError(f"too many registers ({n}) for the einsum contraction")
-    row = list(letters[:n])
-    col = list(row)
-    next_free = n
-    for i in rest:
-        col[i] = letters[next_free]
-        next_free += 1
-    out = "".join(row[i] for i in rest) + "".join(col[i] for i in rest)
-    spec = "".join(row) + "".join(col) + "->" + out
-    rho = np.einsum(spec, state.matrix.reshape(dims + dims)).reshape(keep_dim, keep_dim)
+    else:
+        rho = np.trace(m, axis1=1, axis2=3)
     return QuantumState(new_layout, matrix=rho, validate=False, copy=False)
 
 
@@ -237,17 +266,8 @@ def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
     """
     if state.is_pure:
         raise ValueError("partial_transpose needs a density matrix; call to_density() first")
-    over = list(over)
-    pos = state.layout.positions(over)
-    n = len(state.dims)
-    axes = list(range(2 * n))
-    for p in pos:
-        axes[p], axes[n + p] = axes[n + p], axes[p]
-    return (
-        state.matrix.reshape(state.dims + state.dims)
-        .transpose(axes)
-        .reshape(state.dim, state.dim)
-    )
+    m, ungroup = _grouped(state.layout, state.matrix, list(over))
+    return ungroup(m.swapaxes(0, 2))
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -268,17 +288,12 @@ def measurement_distribution(state: QuantumState, on: Sequence[str]) -> np.ndarr
     on = list(on)
     if not on:
         raise ValueError("need at least one register to measure")
-    pos, rest = _split_axes(state.layout, on)
-    dims = state.dims
     if state.is_pure:
-        weights = np.abs(state.vector.reshape(dims)) ** 2
+        weights = np.abs(state.vector) ** 2
     else:
-        weights = np.real(np.diagonal(state.matrix)).reshape(dims)
-    if rest:
-        weights = weights.sum(axis=tuple(rest))
-    # axes now follow layout order restricted to `pos`; reorder to caller order
-    order = np.argsort(np.argsort(pos))
-    return weights.transpose(order)
+        weights = np.real(np.diagonal(state.matrix))
+    grouped, _ = _grouped(state.layout, weights, on)
+    return grouped.sum(axis=1).reshape([state.layout.subsystem(l).dim for l in on])
 
 
 def measure_computational(
@@ -295,54 +310,17 @@ def measure_computational(
     on = list(on)
     if not on:
         raise ValueError("need at least one register to measure")
-    pos, rest = _split_axes(state.layout, on)
-    dims = state.dims
-    n = len(dims)
-    on_dims = tuple(dims[p] for p in pos)
-    on_dim = int(np.prod(on_dims)) if on_dims else 1
-    rest_dim = state.dim // on_dim
+    layout = state.layout
+    w, ungroup = _grouped(layout, state._data, on)
     outcomes: list[MeasurementOutcome] = []
-    if state.is_pure:
-        perm = pos + rest
-        w = state.vector.reshape(dims).transpose(perm).reshape(on_dim, rest_dim)
-        inv = list(np.argsort(perm))
-        perm_dims = tuple(dims[a] for a in perm)
-        for k, digits in enumerate(itertools.product(*[range(d) for d in on_dims])):
-            amp = w[k]
-            p = float(np.real(np.vdot(amp, amp)))
-            if p <= prob_floor:
-                continue
-            full = np.zeros_like(w)
-            full[k] = amp / np.sqrt(p)
-            post = full.reshape(perm_dims).transpose(inv).reshape(-1)
-            outcomes.append(
-                MeasurementOutcome(
-                    digits, p, QuantumState(state.layout, vector=post, validate=False, copy=False)
-                )
-            )
-        return outcomes
-    perm = pos + rest
-    axes = perm + [n + a for a in perm]
-    perm_dims = tuple(dims[a] for a in perm)
-    r = (
-        state.matrix.reshape(dims + dims)
-        .transpose(axes)
-        .reshape(on_dim, rest_dim, on_dim, rest_dim)
-    )
-    inv = list(np.argsort(axes))
-    for k, digits in enumerate(itertools.product(*[range(d) for d in on_dims])):
-        block = r[k, :, k, :]
-        p = float(np.real(np.trace(block)))
+    digit_strings = itertools.product(*[range(layout.subsystem(l).dim) for l in on])
+    for k, digits in enumerate(digit_strings):
+        sel, p, norm = _branch(w, k)
         if p <= prob_floor:
             continue
-        full = np.zeros_like(r)
-        full[k, :, k, :] = block / p
-        post = full.reshape(perm_dims + perm_dims).transpose(inv).reshape(state.dim, state.dim)
-        outcomes.append(
-            MeasurementOutcome(
-                digits, p, QuantumState(state.layout, matrix=post, validate=False, copy=False)
-            )
-        )
+        full = np.zeros_like(w)
+        full[sel] = w[sel] / norm
+        outcomes.append(MeasurementOutcome(digits, p, _wrap(layout, ungroup(full))))
     return outcomes
 
 
@@ -362,30 +340,18 @@ def project_registers(
     digits = tuple(int(x) for x in digits)
     if len(digits) != len(on):
         raise ValueError(f"need {len(on)} digits, got {len(digits)}")
-    pos, _ = _split_axes(state.layout, on)
-    dims = state.dims
-    n = len(dims)
-    for x, p in zip(digits, pos):
-        if not 0 <= x < dims[p]:
-            raise ValueError(f"digit {x} out of range for register at position {p} (dim {dims[p]})")
-    new_layout = state.layout.without(on)
-    keep_dim = new_layout.total_dim
-    idx: list = [slice(None)] * n
-    for x, p in zip(digits, pos):
-        idx[p] = x
-    if state.is_pure:
-        sub = state.vector.reshape(dims)[tuple(idx)].reshape(-1)
-        prob = float(np.real(np.vdot(sub, sub)))
-        if prob <= 0.0:
-            return 0.0, None
-        return prob, QuantumState(
-            new_layout, vector=sub / np.sqrt(prob), validate=False, copy=False
-        )
-    block = state.matrix.reshape(dims + dims)[tuple(idx + idx)].reshape(keep_dim, keep_dim)
-    prob = float(np.real(np.trace(block)))
+    layout = state.layout
+    k = 0
+    for label, x in zip(on, digits):
+        d = layout.subsystem(label).dim
+        if not 0 <= x < d:
+            raise ValueError(f"digit {x} out of range for register {label!r} (dim {d})")
+        k = k * d + x
+    w, _ = _grouped(layout, state._data, on)
+    sel, prob, norm = _branch(w, k)
     if prob <= 0.0:
         return max(prob, 0.0), None
-    return prob, QuantumState(new_layout, matrix=block / prob, validate=False, copy=False)
+    return prob, _wrap(layout.without(on), w[sel] / norm)
 
 
 def purify(
@@ -438,32 +404,13 @@ def apply_unitary(
     unitary_tol: float = defaults.UNITARY_TOL,
 ) -> QuantumState:
     """Apply a unitary to the named registers (in the given order)."""
-    on = list(on)
-    pos, rest = _split_axes(state.layout, on)
-    dims = state.dims
-    n = len(dims)
-    t_dim = 1
-    for p in pos:
-        t_dim *= dims[p]
-    u = _check_unitary(u, t_dim, unitary_tol)
-    rest_dim = state.dim // t_dim
-    perm = pos + rest
-    perm_dims = tuple(dims[a] for a in perm)
+    w, ungroup = _grouped(state.layout, state._data, list(on))
+    u = _check_unitary(u, w.shape[0], unitary_tol)
     if state.is_pure:
-        w = state.vector.reshape(dims).transpose(perm).reshape(t_dim, rest_dim)
-        out = (u @ w).reshape(perm_dims).transpose(list(np.argsort(perm))).reshape(-1)
-        return QuantumState(state.layout, vector=out, validate=False, copy=False)
-    axes = perm + [n + a for a in perm]
-    r = (
-        state.matrix.reshape(dims + dims)
-        .transpose(axes)
-        .reshape(t_dim, rest_dim, t_dim, rest_dim)
-    )
-    out = np.einsum("ab,bxcy,dc->axdy", u, r, u.conj())
-    out = out.reshape(perm_dims + perm_dims).transpose(list(np.argsort(axes)))
-    return QuantumState(
-        state.layout, matrix=out.reshape(state.dim, state.dim), validate=False, copy=False
-    )
+        out = u @ w
+    else:
+        out = np.einsum("ab,bxcy,dc->axdy", u, w, u.conj())
+    return _wrap(state.layout, ungroup(out))
 
 
 def apply_controlled(
@@ -485,15 +432,11 @@ def apply_controlled(
         raise ValueError("control and target registers must be disjoint")
     if not control or not target:
         raise ValueError("need at least one control and one target register")
-    c_pos = state.layout.positions(control)
-    t_pos = state.layout.positions(target)
-    dims = state.dims
-    n = len(dims)
-    c_dims = tuple(dims[p] for p in c_pos)
-    c_dim = int(np.prod(c_dims))
+    layout = state.layout
+    c_dims = tuple(layout.subsystem(l).dim for l in control)
     t_dim = 1
-    for p in t_pos:
-        t_dim *= dims[p]
+    for l in target:
+        t_dim *= layout.subsystem(l).dim
     checked: dict[tuple[int, ...], np.ndarray] = {}
     for key, b in blocks.items():
         key = tuple(int(x) for x in key)
@@ -502,27 +445,18 @@ def apply_controlled(
         ):
             raise ValueError(f"control key {key} out of range for dims {c_dims}")
         checked[key] = _check_unitary(b, t_dim, unitary_tol)
-    taken = set(c_pos) | set(t_pos)
-    rest = [i for i in range(n) if i not in taken]
-    rest_dim = state.dim // (c_dim * t_dim)
-    perm = c_pos + t_pos + rest
-    perm_dims = tuple(dims[a] for a in perm)
+    w, ungroup = _grouped(layout, state._data, control + target)
     keys = list(itertools.product(*[range(d) for d in c_dims]))
+    c_dim = len(keys)
+    rest_dim = w.shape[1]
     if state.is_pure:
-        w = state.vector.reshape(dims).transpose(perm).reshape(c_dim, t_dim, rest_dim).copy()
+        w = w.reshape(c_dim, t_dim, rest_dim).copy()
         for k, key in enumerate(keys):
             b = checked.get(key)
             if b is not None:
                 w[k] = b @ w[k]
-        out = w.reshape(perm_dims).transpose(list(np.argsort(perm))).reshape(-1)
-        return QuantumState(state.layout, vector=out, validate=False, copy=False)
-    axes = perm + [n + a for a in perm]
-    r = (
-        state.matrix.reshape(dims + dims)
-        .transpose(axes)
-        .reshape(c_dim, t_dim, rest_dim, c_dim, t_dim, rest_dim)
-        .copy()
-    )
+        return _wrap(layout, ungroup(w))
+    r = w.reshape(c_dim, t_dim, rest_dim, c_dim, t_dim, rest_dim).copy()
     eye = np.eye(t_dim, dtype=np.complex128)
     for k, key_k in enumerate(keys):
         bk = checked.get(key_k)
@@ -535,7 +469,4 @@ def apply_controlled(
                 "ab,bxdy,cd->axcy", bk if bk is not None else eye, blk,
                 (bl if bl is not None else eye).conj(),
             )
-    out = r.reshape(perm_dims + perm_dims).transpose(list(np.argsort(axes)))
-    return QuantumState(
-        state.layout, matrix=out.reshape(state.dim, state.dim), validate=False, copy=False
-    )
+    return _wrap(layout, ungroup(r))

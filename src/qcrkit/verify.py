@@ -21,11 +21,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import defaults
 from .registers import DEALER, SystemLayout, index_set
-from .states import QuantumState, measurement_distribution, purify, trace_norm
+from .states import (
+    QuantumState,
+    measurement_distribution,
+    partial_trace,
+    project_registers,
+    purify,
+    trace_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -153,41 +158,18 @@ def _global_pure(state: QuantumState) -> QuantumState:
     return state if state.is_pure else purify(state)
 
 
-def _dealer_branches(pure: QuantumState):
-    """Split a global pure state by the dealer's info digit.
+def _dealer_branches(pure: QuantumState, dbar: str) -> list[QuantumState]:
+    """Split a global pure state by the digit of the dealer info register dbar.
 
-    Returns the layout with the dealer info register removed, plus a list of
-    (digit, probability, normalized vector on that layout) for every digit
-    with probability above the floor.
+    Returns the normalized pure state, on the layout without dbar, of every
+    digit with probability above the floor.
     """
-    layout = pure.layout
-    dbar = layout.info_label(DEALER)
-    pos = layout.position(dbar)
-    dims = pure.dims
-    rest_axes = [i for i in range(len(dims)) if i != pos]
-    d = dims[pos]
-    w = pure.vector.reshape(dims).transpose([pos] + rest_axes).reshape(d, -1)
-    rest_layout = layout.without([dbar])
     branches = []
-    for i in range(d):
-        p = float(np.real(np.vdot(w[i], w[i])))
-        if p <= defaults.PROB_FLOOR:
-            continue
-        branches.append((i, p, w[i] / np.sqrt(p)))
-    return rest_layout, branches
-
-
-def _reduced_density(vec: np.ndarray, layout: SystemLayout, labels: Sequence[str]) -> np.ndarray:
-    """Density matrix of the named registers from a pure vector on layout."""
-    if not labels:
-        return np.ones((1, 1), dtype=np.complex128)
-    pos = layout.positions(labels)
-    rest = [i for i in range(len(layout)) if i not in set(pos)]
-    adim = 1
-    for p in pos:
-        adim *= layout.dims[p]
-    m = vec.reshape(layout.dims).transpose(pos + rest).reshape(adim, -1)
-    return m @ m.conj().T
+    for i in range(pure.layout.subsystem(dbar).dim):
+        p, branch = project_registers(pure, [dbar], [i])
+        if p > defaults.PROB_FLOOR:
+            branches.append(branch)
+    return branches
 
 
 def _default_coalitions(players: tuple[str, ...], exhaustive: bool) -> list[tuple[str, ...]]:
@@ -215,16 +197,18 @@ def check_condition_ii(
         chosen = [tuple(c) for c in coalitions]
     specs = [CoalitionSpec.for_layout(layout, c) for c in chosen]
     pure = _global_pure(state)
-    rest_layout, branches = _dealer_branches(pure)
+    dbar = layout.info_label(DEALER)
+    branches = _dealer_branches(pure, dbar)
     reports = []
     for spec in specs:
         bad = set(spec.dishonest)
-        adv = [
+        # the honest players and the dealer's lab; the adversary keeps the rest
+        hidden = [
             s.label
-            for s in rest_layout.subsystems
-            if s.kind == "env" or s.party in bad
+            for s in pure.layout.subsystems
+            if s.kind != "env" and s.party not in bad and s.label != dbar
         ]
-        gammas = [_reduced_density(vec, rest_layout, adv) for (_, _, vec) in branches]
+        gammas = [partial_trace(b, hidden).density_matrix() for b in branches]
         dmax = 0.0
         for a, b in itertools.combinations(gammas, 2):
             dmax = max(dmax, trace_norm(a - b))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,9 +336,12 @@ def test_config_missing_file(monkeypatch, example_file):
 
 
 def test_module_entry_point(example_file):
+    # the child imports the same qcrkit as this process, installed or not
+    src = str(Path(q.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qcrkit", "verify", example_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout
