@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,7 +69,6 @@ class RunConfig:
     cap: int | None = None
     seed: int | None = None
     report: str | None = None
-    report_format: str = "json"
 
 
 _CONFIG_KEYS = {"tol", "cap", "seed", "report_format"}
@@ -88,11 +88,12 @@ def _load_config_file(path: str) -> dict:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise CliError(EXIT_USAGE, f"unknown config keys: {sorted(unknown)}")
-    if "tol" in doc and not (isinstance(doc["tol"], (int, float)) and doc["tol"] > 0):
-        raise CliError(EXIT_USAGE, "config tol must be a positive number")
-    if "cap" in doc and not (isinstance(doc["cap"], int) and doc["cap"] >= 1):
+    # exact types, since bool is a subclass of int; json.loads reads Infinity
+    if "tol" in doc and not (type(doc["tol"]) in (int, float) and 0 < doc["tol"] < math.inf):
+        raise CliError(EXIT_USAGE, "config tol must be a positive finite number")
+    if "cap" in doc and not (type(doc["cap"]) is int and doc["cap"] >= 1):
         raise CliError(EXIT_USAGE, "config cap must be a positive integer")
-    if "seed" in doc and not isinstance(doc["seed"], int):
+    if "seed" in doc and type(doc["seed"]) is not int:
         raise CliError(EXIT_USAGE, "config seed must be an integer")
     if "report_format" in doc and doc["report_format"] != "json":
         raise CliError(EXIT_USAGE, f"unsupported report_format {doc['report_format']!r}")
@@ -112,14 +113,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cap=cap,
         seed=seed,
         report=getattr(args, "report", None),
-        report_format=doc.get("report_format", "json"),
     )
 
 
 def _positive_float(text: str) -> float:
     x = float(text)
-    if x <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError("must be a positive finite number")
     return x
 
 

@@ -7,18 +7,21 @@ candidates; certification is the verifier's job, and build_twisted_qcr
 returns the verification report alongside the state rather than asserting
 structural correctness.
 
-Private and GHZ density outputs are written with exact 1/d entries, so for
+GHZ-type and private states share one support filler, ``_fill_support``,
+which writes a vector or a density matrix over the digit-sum-0 info
+strings. Density outputs are written with exact 1/d entries, so for
 power-of-two d the downstream measurement statistics are exact dyadics.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import itertools
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import defaults
 from .registers import DEALER, Subsystem, SystemLayout, index_set, standard_layout
-from .states import QuantumState, _check_unitary, apply_controlled
+from .states import QuantumState, _check_unitary, _wrap, apply_controlled, apply_unitary
 
 
 class ShieldSeed:
@@ -116,18 +119,7 @@ def build_private_state(
     the |i, -i> basis. The result is always in density representation; the
     diagonal weights are written as exact 1/d.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
-    if sigma is None:
-        sigma = ShieldSeed.trivial(2)
-    if len(sigma.dims) != 2:
-        raise ValueError(
-            f"private-state seed needs 2 shield dims (dealer, player), got {len(sigma.dims)}"
-        )
-    layout = standard_layout(d, 1, sigma.dims)
-    limit = defaults.DIM_CAP if cap is None else cap
-    if layout.total_dim > limit:
-        raise ValueError(f"state dimension {layout.total_dim} exceeds cap {limit}")
+    layout, sigma = _seeded_layout(d, 1, sigma, cap)
     s_dim = sigma.total_dim
     if twist is None:
         blocks = {i: np.eye(s_dim, dtype=np.complex128) for i in range(d)}
@@ -142,16 +134,7 @@ def build_private_state(
             for key, u in twist.unitaries.items()
         }
     sig = sigma.density()
-    sd, sa = sigma.dims
-    shaped = (d, sd, d, sa)
-    rho = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
-    view = rho.reshape(shaped + shaped)
-    w = 1.0 / d
-    for i in range(d):
-        for j in range(d):
-            block = w * (blocks[i] @ sig @ blocks[j].conj().T)
-            view[i, :, (d - i) % d, :, j, :, (d - j) % d, :] = block.reshape(sd, sa, sd, sa)
-    return QuantumState(layout, matrix=rho, validate=False, copy=False)
+    return _fill_support(layout, 2, lambda m, mp: blocks[m[0]] @ sig @ blocks[mp[0]].conj().T)
 
 
 def maximally_entangled(d: int) -> QuantumState:
@@ -189,46 +172,43 @@ def build_ghz_qcr(
     A pure sigma gives a pure output vector; a mixed sigma gives the density
     form with exact 1/d^N block weights.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
-    if n_players < 1:
-        raise ValueError("need at least one player")
-    if sigma is None:
-        sigma = ShieldSeed.trivial(n_players + 1)
-    if len(sigma.dims) != n_players + 1:
-        raise ValueError(
-            f"need {n_players + 1} shield dims (dealer first), got {len(sigma.dims)}"
-        )
-    layout = standard_layout(d, n_players, sigma.dims)
+    layout, sigma = _seeded_layout(d, n_players, sigma, cap)
+    seed = sigma.vector if sigma.is_pure else sigma.density()
+    return _fill_support(layout, seed.ndim, lambda *strings: seed)
+
+
+def _seeded_layout(
+    d: int, n_players: int, sigma: ShieldSeed | None, cap: int | None
+) -> tuple[SystemLayout, ShieldSeed]:
+    """Standard layout for sigma (trivial when None), checked against the cap."""
+    layout = standard_layout(d, n_players, None if sigma is None else sigma.dims)
     limit = defaults.DIM_CAP if cap is None else cap
     if layout.total_dim > limit:
         raise ValueError(f"state dimension {layout.total_dim} exceeds cap {limit}")
-    members = index_set(n_players + 1, 0, d).members
-    info_pos = [layout.position(l) for l in layout.info_labels]
-    n_regs = len(layout)
-    if sigma.is_pure:
-        amp = 1.0 / np.sqrt(len(members))
-        s = sigma.vector.reshape(sigma.dims)
-        v = np.zeros(layout.total_dim, dtype=np.complex128).reshape(layout.dims)
-        for m in members:
-            idx: list = [slice(None)] * n_regs
-            for pos, digit in zip(info_pos, m):
-                idx[pos] = digit
-            v[tuple(idx)] = amp * s
-        return QuantumState(layout, vector=v.reshape(-1), validate=False, copy=False)
-    weight = 1.0 / len(members)
-    smat = sigma.density().reshape(sigma.dims + sigma.dims)
-    rho = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
-    view = rho.reshape(layout.dims + layout.dims)
-    for m in members:
-        for mp in members:
-            idx = [slice(None)] * (2 * n_regs)
-            for pos, digit in zip(info_pos, m):
-                idx[pos] = digit
-            for pos, digit in zip(info_pos, mp):
-                idx[n_regs + pos] = digit
-            view[tuple(idx)] = weight * smat
-    return QuantumState(layout, matrix=rho, validate=False, copy=False)
+    return layout, ShieldSeed.trivial(n_players + 1) if sigma is None else sigma
+
+
+def _fill_support(
+    layout: SystemLayout,
+    copies: int,
+    block: Callable[..., np.ndarray],
+) -> QuantumState:
+    """Write weight * block(*strings) at each `copies`-tuple of S0 info strings.
+
+    copies=1 gives a vector with weight 1/sqrt|S0|, copies=2 a density
+    matrix with the exact weight 1/|S0|; zero off the digit-sum-0 support.
+    """
+    members = index_set(len(layout.info_labels), 0, layout.qudit_dim).members
+    weight = 1.0 / np.sqrt(len(members)) if copies == 1 else 1.0 / len(members)
+    data = np.zeros((layout.total_dim,) * copies, dtype=np.complex128)
+    # standard_layout alternates info and shield registers, so in this view
+    # every copy's info digits sit on the even axes and its shields on the odd
+    view = data.reshape(layout.dims * copies)
+    idx: list = [slice(None)] * view.ndim
+    for strings in itertools.product(members, repeat=copies):
+        idx[::2] = sum(strings, ())
+        view[tuple(idx)] = weight * block(*strings).reshape(view.shape[1::2])
+    return _wrap(layout, data)
 
 
 def build_twisted_qcr(
@@ -315,8 +295,6 @@ def relabel_negated_player(state: QuantumState, player: str) -> QuantumState:
     neg = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
         neg[(d - i) % d, i] = 1.0
-    from .states import apply_unitary
-
     return apply_unitary(state, neg, [label])
 
 

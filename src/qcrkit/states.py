@@ -12,10 +12,17 @@ acts on some registers goes through ``_grouped``, which moves the named
 registers to the front of a vector, as ``(g, r)``, or of a matrix, as
 ``(g, r, g, r)``, and hands back the map to flat layout order. Dimension-1
 registers carry no axis there, so the register count sets no ceiling.
+
+One block loop, ``_apply_blocks``, applies unitaries to vectors and
+densities alike: each block multiplies its rows of the grouped array and
+then, for a density, its columns by the block's adjoint. Permutation
+blocks, such as the dealer's shift and controlled addition, keep dyadic
+entries exact.
 """
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -404,13 +411,7 @@ def apply_unitary(
     unitary_tol: float = defaults.UNITARY_TOL,
 ) -> QuantumState:
     """Apply a unitary to the named registers (in the given order)."""
-    w, ungroup = _grouped(state.layout, state._data, list(on))
-    u = _check_unitary(u, w.shape[0], unitary_tol)
-    if state.is_pure:
-        out = u @ w
-    else:
-        out = np.einsum("ab,bxcy,dc->axdy", u, w, u.conj())
-    return _wrap(state.layout, ungroup(out))
+    return _apply_blocks(state, [], list(on), {(): u}, unitary_tol)
 
 
 def apply_controlled(
@@ -432,11 +433,25 @@ def apply_controlled(
         raise ValueError("control and target registers must be disjoint")
     if not control or not target:
         raise ValueError("need at least one control and one target register")
+    return _apply_blocks(state, control, target, blocks, unitary_tol)
+
+
+def _apply_blocks(
+    state: QuantumState,
+    control: list[str],
+    target: list[str],
+    blocks: Mapping[tuple[int, ...], np.ndarray],
+    unitary_tol: float,
+) -> QuantumState:
+    """Apply sum_k |k><k| (x) B_k; apply_unitary is the case with no control.
+
+    Row block k of the array grouped as (control, target, rest) is multiplied
+    by B_k, then for a density column block k by B_k^dag. Blocks are checked
+    before the state is regrouped.
+    """
     layout = state.layout
     c_dims = tuple(layout.subsystem(l).dim for l in control)
-    t_dim = 1
-    for l in target:
-        t_dim *= layout.subsystem(l).dim
+    t_dim = prod(layout.subsystem(l).dim for l in target)
     checked: dict[tuple[int, ...], np.ndarray] = {}
     for key, b in blocks.items():
         key = tuple(int(x) for x in key)
@@ -446,27 +461,15 @@ def apply_controlled(
             raise ValueError(f"control key {key} out of range for dims {c_dims}")
         checked[key] = _check_unitary(b, t_dim, unitary_tol)
     w, ungroup = _grouped(layout, state._data, control + target)
-    keys = list(itertools.product(*[range(d) for d in c_dims]))
-    c_dim = len(keys)
-    rest_dim = w.shape[1]
-    if state.is_pure:
-        w = w.reshape(c_dim, t_dim, rest_dim).copy()
-        for k, key in enumerate(keys):
-            b = checked.get(key)
-            if b is not None:
-                w[k] = b @ w[k]
-        return _wrap(layout, ungroup(w))
-    r = w.reshape(c_dim, t_dim, rest_dim, c_dim, t_dim, rest_dim).copy()
-    eye = np.eye(t_dim, dtype=np.complex128)
-    for k, key_k in enumerate(keys):
-        bk = checked.get(key_k)
-        for l, key_l in enumerate(keys):
-            bl = checked.get(key_l)
-            if bk is None and bl is None:
-                continue
-            blk = r[k, :, :, l, :, :]
-            r[k, :, :, l, :, :] = np.einsum(
-                "ab,bxdy,cd->axcy", bk if bk is not None else eye, blk,
-                (bl if bl is not None else eye).conj(),
-            )
-    return _wrap(layout, ungroup(r))
+    c_dim = prod(c_dims)
+    # (c, t, rest) for a vector, (c, t, rest, c, t, rest) for a density
+    out = w.reshape((c_dim, t_dim, w.shape[1]) * (w.ndim // 2)).copy()
+    rows = out.reshape(c_dim, t_dim, -1)
+    for k, key in enumerate(itertools.product(*[range(d) for d in c_dims])):
+        b = checked.get(key)
+        if b is None:
+            continue
+        rows[k] = b @ rows[k]
+        if not state.is_pure:
+            out[:, :, :, k] = b.conj() @ out[:, :, :, k]
+    return _wrap(layout, ungroup(out))

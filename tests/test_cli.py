@@ -153,6 +153,11 @@ def test_bad_flag_values(example_file):
     assert main(["verify", example_file, "--seed", "abc"]) == 64
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_usage_error(example_file, tol):
+    assert main(["verify", example_file, "--tol", tol]) == 64
+
+
 # -- reduce --------------------------------------------------------------
 
 
@@ -328,6 +333,10 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch, example_file):
     assert main(["verify", example_file]) == 64
     write_config(tmp_path, monkeypatch, {"report_format": "yaml"})
     assert main(["verify", example_file]) == 64
+    # bool is a subclass of int; Infinity is valid JSON to json.loads
+    for doc in ({"tol": True}, {"cap": True}, {"seed": True}, {"tol": float("inf")}):
+        write_config(tmp_path, monkeypatch, doc)
+        assert main(["verify", example_file]) == 64
 
 
 def test_config_missing_file(monkeypatch, example_file):

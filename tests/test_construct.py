@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,51 @@ def test_ghz_parameter_errors():
         q.build_ghz_qcr(2, 2, q.ShieldSeed.trivial(2))
     with pytest.raises(ValueError):
         q.build_ghz_qcr(2, 5, cap=32)
+
+
+# -- exact entries of every builder branch -----------------------------
+
+
+def support_entries(layout):
+    """(flat index, shield index) of each basis ket whose info digits sum to 0 mod d."""
+    info = [layout.position(l) for l in layout.info_labels]
+    shield = [layout.position(l) for l in layout.shield_labels]
+    s_dims = [layout.dims[p] for p in shield]
+    out = []
+    for k, digits in enumerate(itertools.product(*[range(x) for x in layout.dims])):
+        if sum(digits[p] for p in info) % layout.qudit_dim == 0:
+            out.append((k, int(np.ravel_multi_index([digits[p] for p in shield], s_dims))))
+    return out
+
+
+def test_ghz_pure_sigma_exact_entries():
+    sigma = q.ShieldSeed.random((2, 1, 3), np.random.default_rng(31), pure=True)
+    s = q.build_ghz_qcr(3, 2, sigma)
+    want = np.zeros(s.dim, dtype=complex)
+    for k, i in support_entries(s.layout):
+        want[k] = (1 / np.sqrt(9)) * sigma.vector[i]
+    assert s.is_pure
+    assert np.array_equal(s.vector, want)
+
+
+def test_ghz_mixed_sigma_exact_entries():
+    sigma = q.ShieldSeed.random((1, 2, 2), np.random.default_rng(32))
+    s = q.build_ghz_qcr(2, 2, sigma)
+    entries = support_entries(s.layout)
+    want = np.zeros((s.dim, s.dim), dtype=complex)
+    for (k, i), (l, j) in itertools.product(entries, repeat=2):
+        want[k, l] = 0.25 * sigma.matrix[i, j]
+    assert not s.is_pure
+    assert np.array_equal(s.matrix, want)
+
+
+def test_private_state_basis_zero_sigma_exact_entries():
+    s = q.build_private_state(3, q.ShieldSeed.basis_zero((2, 3)))
+    zero = [k for k, i in support_entries(s.layout) if i == 0]
+    want = np.zeros((s.dim, s.dim), dtype=complex)
+    want[np.ix_(zero, zero)] = 1 / 3
+    assert len(zero) == 3
+    assert np.array_equal(s.matrix, want)
 
 
 # -- controlled twists -------------------------------------------------

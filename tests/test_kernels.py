@@ -270,3 +270,39 @@ def test_kernel_on_many_dimension_one_registers(check, kind, n):
     assert layout.total_dim == 8
     for _ in range(5):
         check(random_state(layout, rng, kind), rng)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_permutation_unitaries_on_density_are_exact(d):
+    # the dealer's shift and controlled addition move density entries
+    # without arithmetic, which keeps dyadic entries exact
+    rng = np.random.default_rng(d)
+    layout = SystemLayout(tuple(
+        Subsystem(label, label, "info", dim) for label, dim in (("T", d), ("R", 2), ("C", d))
+    ))
+    state = random_state(layout, rng, "density")
+    dg = Digits(layout)
+    cases = [(q.shift_matrix(d, beta), ["T"]) for beta in range(d)]
+    cases += [(q.cx_matrix(d), ["T", "C"]), (q.cx_matrix(d), ["C", "T"])]
+    for p, on in cases:
+        t, r = dg.flat(on), dg.flat([l for l in layout.labels if l not in on])
+        p_full = p[t[:, None], t[None, :]] * (r[:, None] == r[None, :])
+        rows, cols = np.nonzero(p_full)
+        want = np.empty_like(state.matrix)
+        want[np.ix_(rows, rows)] = state.matrix[np.ix_(cols, cols)]
+        assert np.array_equal(q.apply_unitary(state, p, on).matrix, want)
+    shifts = {(k,): q.shift_matrix(d, k) for k in range(d)}
+    controlled = q.apply_controlled(state, ["C"], ["T"], shifts)
+    assert np.array_equal(controlled.matrix, q.apply_unitary(state, q.cx_matrix(d), ["T", "C"]).matrix)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_controlled_without_blocks_is_identity(kind):
+    rng = np.random.default_rng(7)
+    layout = SystemLayout(tuple(
+        Subsystem(f"R{k}", f"P{k}", "shield", d) for k, d in enumerate((2, 3, 2))
+    ))
+    state = random_state(layout, rng, kind)
+    out = q.apply_controlled(state, ["R2"], ["R0"], {})
+    assert out.is_pure == state.is_pure
+    assert np.array_equal(data(out), data(state))
