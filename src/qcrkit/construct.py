@@ -134,7 +134,7 @@ def build_private_state(
             for key, u in twist.unitaries.items()
         }
     sig = sigma.density()
-    return _fill_support(layout, 2, lambda m, mp: blocks[m[0]] @ sig @ blocks[mp[0]].conj().T)
+    return _fill_support(layout, 2, lambda i, j: blocks[i] @ sig @ blocks[j].conj().T)
 
 
 def maximally_entangled(d: int) -> QuantumState:
@@ -174,7 +174,7 @@ def build_ghz_qcr(
     """
     layout, sigma = _seeded_layout(d, n_players, sigma, cap)
     seed = sigma.vector if sigma.is_pure else sigma.density()
-    return _fill_support(layout, seed.ndim, lambda *strings: seed)
+    return _fill_support(layout, seed.ndim, lambda *digits: seed)
 
 
 def _seeded_layout(
@@ -193,21 +193,33 @@ def _fill_support(
     copies: int,
     block: Callable[..., np.ndarray],
 ) -> QuantumState:
-    """Write weight * block(*strings) at each `copies`-tuple of S0 info strings.
+    """Write weight * block(*dealer_digits) at each `copies`-tuple of S0 info strings.
 
     copies=1 gives a vector with weight 1/sqrt|S0|, copies=2 a density
     matrix with the exact weight 1/|S0|; zero off the digit-sum-0 support.
+    The block depends only on the dealer digit of each string, so all
+    strings sharing those digits are written in one assignment.
     """
-    members = index_set(len(layout.info_labels), 0, layout.qudit_dim).members
+    d = layout.qudit_dim
+    n_info = len(layout.info_labels)
+    members = np.array(index_set(n_info, 0, d).members).reshape(-1, n_info)
     weight = 1.0 / np.sqrt(len(members)) if copies == 1 else 1.0 / len(members)
+    by_dealer = [members[members[:, 0] == i] for i in range(d)]
     data = np.zeros((layout.total_dim,) * copies, dtype=np.complex128)
     # standard_layout alternates info and shield registers, so in this view
     # every copy's info digits sit on the even axes and its shields on the odd
     view = data.reshape(layout.dims * copies)
     idx: list = [slice(None)] * view.ndim
-    for strings in itertools.product(members, repeat=copies):
-        idx[::2] = sum(strings, ())
-        view[tuple(idx)] = weight * block(*strings).reshape(view.shape[1::2])
+    for digits in itertools.product(range(d), repeat=copies):
+        for c, i in enumerate(digits):
+            # copy c's strings run along broadcast axis c of the index arrays
+            shape = [1] * copies
+            shape[c] = -1
+            strings = by_dealer[i]
+            idx[2 * n_info * c:2 * n_info * (c + 1):2] = [
+                strings[:, k].reshape(shape) for k in range(n_info)
+            ]
+        view[tuple(idx)] = weight * block(*digits).reshape(view.shape[1::2])
     return _wrap(layout, data)
 
 

@@ -16,8 +16,9 @@ PROTOCOL_TOL = 1e-7
 # below -PPT_TOL.
 PPT_TOL = 1e-9
 
-# Eigenvalues below RANK_EPS are treated as numerical zeros when
-# purifying, so the environment dimension equals the numerical rank.
+# purify stops its pivoted Cholesky factor once no residual diagonal entry
+# exceeds RANK_EPS (the eigendecomposition fallback drops eigenvalues at or
+# below it), so the environment dimension equals the numerical rank.
 RANK_EPS = 1e-12
 
 # Measurement branches with probability at or below PROB_FLOOR are dropped

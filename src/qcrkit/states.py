@@ -4,8 +4,9 @@ States are numpy complex128 arrays bound to a SystemLayout: either a pure
 vector or a density matrix, chosen per state. Pure states stay vectors
 through every operation that allows it (tensor products, unitaries,
 measurement, reduced densities via M @ M^dag), which is what keeps the
-largest composed fixtures fast; nothing here ever eigendecomposes a matrix
-bigger than the caller's own density representation.
+largest composed fixtures fast. A density is purified by a pivoted
+Cholesky factor, at a cost of dim^2 x rank, and is eigendecomposed only
+when that factor fails its residual check.
 
 Axis convention: arrays are flat, in layout order. Every operation that
 acts on some registers goes through ``_grouped``, which moves the named
@@ -22,6 +23,7 @@ entries exact.
 from __future__ import annotations
 
 import itertools
+import logging
 from math import prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -29,6 +31,8 @@ import numpy as np
 
 from . import defaults
 from .registers import ENV_PARTY, Subsystem, SystemLayout
+
+logger = logging.getLogger("qcrkit")
 
 
 class QuantumState:
@@ -368,9 +372,16 @@ def purify(
 ) -> QuantumState:
     """Append an environment register and return a pure state reducing to the input.
 
-    The environment dimension equals the numerical rank of the density matrix
-    (eigenvalues above rank_eps); a state already held as a vector gets a
-    dimension-1 environment and is otherwise unchanged.
+    Any factor A with rho = A A^dag purifies rho. A is found by pivoted
+    Cholesky: each step takes the largest residual diagonal entry, and the
+    factor stops growing once that entry is at most rank_eps, so the
+    environment dimension is the numerical rank. The factor is accepted only
+    when ||rho - A A^dag||_F <= STATE_TOL, which by Weyl's inequality puts
+    no eigenvalue of rho below -STATE_TOL; otherwise the eigenvectors
+    scaled by sqrt(eigenvalue), for eigenvalues above rank_eps, are used,
+    and a matrix with an eigenvalue below -STATE_TOL is refused. A state
+    already held as a vector gets a dimension-1 environment and is otherwise
+    unchanged.
     """
     label = env_label or state.layout.unique_label("E")
     if state.is_pure:
@@ -381,17 +392,62 @@ def purify(
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > defaults.STATE_TOL:
         raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
+    amps, path = _cholesky_factor(rho, rank_eps), "factor"
+    if amps is None:
+        amps, path = _eigh_factor(rho, rank_eps), "eigh"
+    rank = amps.shape[1]
+    logger.debug("purify: dim %d, rank %d, path %s", rho.shape[0], rank, path)
+    env = Subsystem(label, ENV_PARTY, "env", rank)
+    layout = SystemLayout(state.layout.subsystems + (env,))
+    return QuantumState(layout, vector=amps.reshape(-1), validate=False, copy=False)
+
+
+def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:
+    """A (dim, rank) factor of rho by pivoted Cholesky, or None if uncertified.
+
+    Costs O(dim^2 rank): one column per unit of rank, then the residual
+    check ||rho - A A^dag||_F <= STATE_TOL in row blocks, so no dim x dim
+    array is formed. None also stands for a numerically zero matrix.
+    """
+    dim = rho.shape[0]
+    resid = np.real(np.diagonal(rho)).copy()
+    cols = np.empty((min(dim, 16), dim), dtype=np.complex128)  # rows are A's columns
+    r = 0
+    while r < dim:
+        j = int(np.argmax(resid))
+        d = resid[j]
+        if not d > rank_eps:
+            break
+        if r == len(cols):
+            cols = np.concatenate((cols, np.empty_like(cols)))[:dim]
+        col = (rho[:, j] - cols[:r].T @ cols[:r, j].conj()) / np.sqrt(d)
+        cols[r] = col
+        resid -= col.real**2 + col.imag**2
+        r += 1
+    if r == 0:
+        return None
+    a = cols[:r].T
+    err2 = 0.0
+    step = max(1, 2**16 // dim)
+    for s in range(0, dim, step):
+        # rows s.. of A A^dag as conj(conj(A[s:]) @ A^T): A^T is a view, so
+        # at full rank no conjugated copy of the whole factor is made
+        e = a[s:s + step].conj() @ a.T
+        np.conjugate(e, out=e)
+        e -= rho[s:s + step]
+        err2 += float(np.real(np.vdot(e, e)))
+    return a if np.sqrt(err2) <= defaults.STATE_TOL else None
+
+
+def _eigh_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray:
+    """Eigenvectors scaled by sqrt(eigenvalue), for eigenvalues above rank_eps."""
     vals, vecs = np.linalg.eigh(rho)
     if float(vals.min()) < -defaults.STATE_TOL:
         raise ValueError(f"cannot purify: eigenvalue {float(vals.min())!r} below -{defaults.STATE_TOL}")
     keep = vals > rank_eps
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
+    if not keep.any():
         raise ValueError("cannot purify: matrix is numerically zero")
-    amps = vecs[:, keep] * np.sqrt(vals[keep])
-    env = Subsystem(label, ENV_PARTY, "env", rank)
-    layout = SystemLayout(state.layout.subsystems + (env,))
-    return QuantumState(layout, vector=amps.reshape(-1), validate=False, copy=False)
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _check_unitary(u: np.ndarray, dim: int, tol: float) -> np.ndarray:
@@ -462,8 +518,11 @@ def _apply_blocks(
         checked[key] = _check_unitary(b, t_dim, unitary_tol)
     w, ungroup = _grouped(layout, state._data, control + target)
     c_dim = prod(c_dims)
+    # _grouped hands back a fresh array unless it could return a view of the
+    # read-only input; only that view needs copying before the in-place steps
+    out = w if w.flags.writeable else w.copy()
     # (c, t, rest) for a vector, (c, t, rest, c, t, rest) for a density
-    out = w.reshape((c_dim, t_dim, w.shape[1]) * (w.ndim // 2)).copy()
+    out = out.reshape((c_dim, t_dim, w.shape[1]) * (w.ndim // 2))
     rows = out.reshape(c_dim, t_dim, -1)
     for k, key in enumerate(itertools.product(*[range(d) for d in c_dims])):
         b = checked.get(key)

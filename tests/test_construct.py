@@ -190,14 +190,22 @@ def test_ghz_pure_sigma_exact_entries():
 
 
 def test_ghz_mixed_sigma_exact_entries():
-    sigma = q.ShieldSeed.random((1, 2, 2), np.random.default_rng(32))
-    s = q.build_ghz_qcr(2, 2, sigma)
-    entries = support_entries(s.layout)
-    want = np.zeros((s.dim, s.dim), dtype=complex)
-    for (k, i), (l, j) in itertools.product(entries, repeat=2):
-        want[k, l] = 0.25 * sigma.matrix[i, j]
-    assert not s.is_pure
-    assert np.array_equal(s.matrix, want)
+    cases = [
+        (2, 2, (1, 2, 2)),
+        (3, 2, (3, 1, 2)),
+        # 256 support strings, so 65,536 string pairs share the one sigma block
+        (2, 8, (1,) * 9),
+    ]
+    for d, n, shields in cases:
+        sigma = q.ShieldSeed.random(shields, np.random.default_rng(32))
+        s = q.build_ghz_qcr(d, n, sigma)
+        entries = support_entries(s.layout)
+        weight = 1.0 / (len(entries) // sigma.total_dim)
+        want = np.zeros((s.dim, s.dim), dtype=complex)
+        for (k, i), (l, j) in itertools.product(entries, repeat=2):
+            want[k, l] = weight * sigma.matrix[i, j]
+        assert not s.is_pure
+        assert want.tobytes() == s.matrix.tobytes()
 
 
 def test_private_state_basis_zero_sigma_exact_entries():
@@ -207,6 +215,20 @@ def test_private_state_basis_zero_sigma_exact_entries():
     want[np.ix_(zero, zero)] = 1 / 3
     assert len(zero) == 3
     assert np.array_equal(s.matrix, want)
+
+
+def test_private_state_twisted_exact_entries():
+    rng = np.random.default_rng(33)
+    sigma = q.ShieldSeed.random((2, 1), rng)
+    u = {i: q.haar_unitary(2, rng) for i in range(3)}
+    s = q.build_private_state(3, sigma, q.TwistingFamily(u))
+    dealer = s.layout.position("D.info")
+    want = np.zeros((s.dim, s.dim), dtype=complex)
+    for (k, a), (l, b) in itertools.product(support_entries(s.layout), repeat=2):
+        i = np.unravel_index(k, s.layout.dims)[dealer]
+        j = np.unravel_index(l, s.layout.dims)[dealer]
+        want[k, l] = ((1 / 3) * (u[i] @ sigma.matrix @ u[j].conj().T))[a, b]
+    assert want.tobytes() == s.matrix.tobytes()
 
 
 # -- controlled twists -------------------------------------------------

@@ -8,6 +8,7 @@ whose many dimension-1 registers would need more array axes than numpy
 allows if every register got one.
 """
 import itertools
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -306,3 +307,20 @@ def test_apply_controlled_without_blocks_is_identity(kind):
     out = q.apply_controlled(state, ["R2"], ["R0"], {})
     assert out.is_pure == state.is_pure
     assert np.array_equal(data(out), data(state))
+
+
+def test_apply_unitary_on_density_keeps_one_working_array():
+    # the regrouped copy is worked on in place: besides the input, the peak
+    # is the working array plus one product or result, not a third copy
+    rng = np.random.default_rng(11)
+    layout = q.standard_layout(2, 3, (2, 2, 2, 2))
+    state = random_state(layout, rng, "density")
+    u = q.haar_unitary(2, rng)
+    tracemalloc.start()
+    try:
+        q.apply_unitary(state, u, ["A1.info"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert layout.total_dim == 256
+    assert peak < 2.5 * state.matrix.nbytes
