@@ -9,7 +9,7 @@ import numpy as np
 
 from . import defaults
 from .registers import DEALER, SystemLayout
-from .states import QuantumState, partial_transpose, trace_norm
+from .states import QuantumState, _gram_difference_norm, _hermitian_trace_norm, partial_transpose
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,18 @@ def all_dealer_cuts_ppt(state: QuantumState, tol: float = defaults.PPT_TOL) -> P
 
 
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
-    """Trace norm of the difference of two states; ranges over [0, 2]."""
+    """Trace norm of the difference of two states; ranges over [0, 2].
+
+    Two pure vectors are taken as (dim, 1) factors of their densities, so
+    the norm comes from a QR of the (dim, 2) pair and a 2 x 2 eigenproblem;
+    no dim x dim matrix is formed. The closed form 2 sqrt(1 - |<a|b>|^2) is
+    not used, because it cancels catastrophically for nearly equal states.
+    When either state is a density, the sum of |eigenvalues| of the
+    Hermitian difference is taken (``eigvalsh``, about half the cost of the
+    SVD in ``trace_norm``).
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return trace_norm(a.density_matrix() - b.density_matrix())
+    if a.is_pure and b.is_pure:
+        return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
+    return _hermitian_trace_norm(a.density_matrix() - b.density_matrix())

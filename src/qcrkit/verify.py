@@ -14,23 +14,37 @@ trace distance can only shrink when a subsystem is discarded, so smaller
 coalitions are dominated. The eavesdropper-only coalition is likewise
 implied, and shows up explicitly only for a single player or in
 exhaustive mode.
+
+Condition (ii) works from branch factors, never from adversary-sized
+densities. Each dealer branch, a pure vector, is regrouped once per
+coalition as a matrix M with one row per adversary basis state and one
+column per hidden one, so the adversary's state is M M^dag. The trace
+distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken on
+the smaller side: from the QR triangle of [Ma Mb] when the two factors
+have fewer columns than the adversary has dimensions, else from the
+adversary-sized difference.
 """
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from . import defaults
 from .registers import DEALER, SystemLayout, index_set
 from .states import (
     QuantumState,
+    _gram_difference_norm,
+    _gram_side,
+    _grouped,
     measurement_distribution,
-    partial_trace,
     project_registers,
     purify,
-    trace_norm,
 )
+
+logger = logging.getLogger("qcrkit")
 
 
 @dataclass(frozen=True)
@@ -79,10 +93,17 @@ class ConditionIReport:
 
 @dataclass(frozen=True)
 class CoalitionReport:
+    """One coalition's condition-(ii) result.
+
+    worst_pair holds the dealer digits of the two branches at max_distance
+    (the first such pair), or None when fewer than two branches exist.
+    """
+
     dishonest: tuple[str, ...]
     passed: bool
     max_distance: float
     branches: int
+    worst_pair: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -90,6 +111,7 @@ class CoalitionReport:
             "passed": self.passed,
             "max_distance": self.max_distance,
             "branches": self.branches,
+            "worst_pair": None if self.worst_pair is None else list(self.worst_pair),
         }
 
 
@@ -158,17 +180,17 @@ def _global_pure(state: QuantumState) -> QuantumState:
     return state if state.is_pure else purify(state)
 
 
-def _dealer_branches(pure: QuantumState, dbar: str) -> list[QuantumState]:
+def _dealer_branches(pure: QuantumState, dbar: str) -> list[tuple[int, QuantumState]]:
     """Split a global pure state by the digit of the dealer info register dbar.
 
-    Returns the normalized pure state, on the layout without dbar, of every
-    digit with probability above the floor.
+    Returns (digit, normalized pure state on the layout without dbar) for
+    every digit with probability above the floor.
     """
     branches = []
     for i in range(pure.layout.subsystem(dbar).dim):
         p, branch = project_registers(pure, [dbar], [i])
         if p > defaults.PROB_FLOOR:
-            branches.append(branch)
+            branches.append((i, branch))
     return branches
 
 
@@ -187,7 +209,12 @@ def check_condition_ii(
     exhaustive: bool = False,
     coalitions: Sequence[Sequence[str]] | None = None,
 ) -> tuple[CoalitionReport, ...]:
-    """Adversary independence from the dealer's digit, coalition by coalition."""
+    """Adversary independence from the dealer's digit, coalition by coalition.
+
+    Every coalition logs one DEBUG line on the ``qcrkit`` logger: adversary
+    dimension, columns of each branch factor, the trace-norm path (``qr``
+    or ``dense``) and the maximum distance.
+    """
     layout = state.layout
     layout.require_crypto_form()
     players = layout.players
@@ -199,25 +226,34 @@ def check_condition_ii(
     pure = _global_pure(state)
     dbar = layout.info_label(DEALER)
     branches = _dealer_branches(pure, dbar)
+    rest = pure.layout.without([dbar])
     reports = []
     for spec in specs:
         bad = set(spec.dishonest)
-        # the honest players and the dealer's lab; the adversary keeps the rest
-        hidden = [
-            s.label
-            for s in pure.layout.subsystems
-            if s.kind != "env" and s.party not in bad and s.label != dbar
+        # the dishonest players and the environment; the honest players and
+        # the dealer's lab stay hidden
+        adversary = [s.label for s in rest.subsystems if s.kind == "env" or s.party in bad]
+        # (adversary, hidden) factors: each branch's adversary state is M M^dag
+        factors = [(i, _grouped(rest, b.vector, adversary)[0]) for i, b in branches]
+        distances = [
+            (_gram_difference_norm(ma, mb), (i, j))
+            for (i, ma), (j, mb) in itertools.combinations(factors, 2)
         ]
-        gammas = [partial_trace(b, hidden).density_matrix() for b in branches]
-        dmax = 0.0
-        for a, b in itertools.combinations(gammas, 2):
-            dmax = max(dmax, trace_norm(a - b))
+        dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
+        adv = prod(rest.subsystem(l).dim for l in adversary)
+        cols = rest.total_dim // adv
+        logger.debug(
+            "condition ii: coalition %s, adversary dim %d, factor columns %d, "
+            "path %s, max distance %.3e",
+            ",".join(spec.dishonest) or "-", adv, cols, _gram_side(adv, 2 * cols), dmax,
+        )
         reports.append(
             CoalitionReport(
                 dishonest=spec.dishonest,
                 passed=dmax <= tol,
                 max_distance=dmax,
                 branches=len(branches),
+                worst_pair=worst,
             )
         )
     return tuple(reports)

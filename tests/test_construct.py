@@ -277,6 +277,28 @@ def test_twist_marking_dealer_digit_fails_condition_ii():
     assert dist[("A2",)] < 1e-9
 
 
+def test_twist_marking_dealer_digit_names_worst_pair():
+    # the failing fixture above: with d = 2 the one pair (0, 1) is the worst
+    base = q.build_ghz_qcr(2, 2, q.ShieldSeed.basis_zero((1, 2, 1)))
+    twist = q.TwistingFamily({(1, 0, 1): X, (1, 1, 0): X}, targets=["A1.shield"])
+    _, report = q.build_twisted_qcr(base, twist)
+    worst = {c.dishonest: c.worst_pair for c in report.coalitions}
+    assert worst == {("A1",): (0, 1), ("A2",): (0, 1)}
+    doc = report.to_dict()["condition_ii"]
+    assert [entry["worst_pair"] for entry in doc] == [[0, 1], [0, 1]]
+    # d = 3, marking only dealer digit 2: branches 0 and 1 look alike to A1,
+    # so the worst pair is one with digit 2, at distance 2
+    base = q.build_ghz_qcr(3, 2, q.ShieldSeed.basis_zero((1, 2, 1)))
+    keys = [m for m in q.index_set(3, 0, 3).members if m[0] == 2]
+    _, report = q.build_twisted_qcr(base, q.TwistingFamily({k: X for k in keys}, targets=["A1.shield"]))
+    by_coalition = {c.dishonest: c for c in report.coalitions}
+    a1 = by_coalition[("A1",)]
+    assert not a1.passed and a1.branches == 3
+    assert a1.worst_pair in {(0, 2), (1, 2)}
+    assert abs(a1.max_distance - 2.0) < 1e-9
+    assert by_coalition[("A2",)].passed
+
+
 def test_twist_dephasing_invariance():
     rng = np.random.default_rng(25)
     base = q.build_ghz_qcr(2, 2, q.ShieldSeed.basis_zero((2, 2, 2)))

@@ -6,6 +6,7 @@ reconstruct the density, find the same rank, and give the verifier the
 same verdicts and coalition distances.
 """
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_is_qcr_matches_eigh_path(monkeypatch, caplog):
     cases = acceptance_fixtures() + list(random_states(100, 401))
     caplog.set_level(logging.DEBUG, logger="qcrkit")
     fast = [q.is_qcr(s, exhaustive=True) for s in cases]
-    paths = [r.getMessage().rsplit(" ", 1)[-1] for r in caplog.records]
+    paths = [m.rsplit(" ", 1)[-1] for m in caplog.messages if m.startswith("purify:")]
     assert len(paths) == len(cases) and set(paths) == {"factor"}
     monkeypatch.setattr(states, "_cholesky_factor", lambda rho, rank_eps: None)
     slow = [q.is_qcr(s, exhaustive=True) for s in cases]
@@ -132,6 +133,21 @@ def test_large_low_rank_states_certify_without_eigh(monkeypatch):
         assert state.dim == 1024 and not state.is_pure
         assert q.purify(state).layout.subsystems[-1].dim == rank
         assert q.is_qcr(state).verdict
+
+
+def test_purify_peak_memory_below_two_densities():
+    # the Hermitian check runs in row strips; the residual check's one
+    # block of 2^16 entries is the largest temporary at 256 dims
+    rho = q.random_density(256, np.random.default_rng(403), rank=4)
+    state = on_one_register(rho)
+    tracemalloc.start()
+    try:
+        pure = q.purify(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pure.layout.subsystems[-1].dim == 4
+    assert peak < 1.5 * rho.nbytes
 
 
 def test_purify_logs_dimension_rank_and_path(caplog, example_state):

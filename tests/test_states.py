@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qcrkit as q
+from qcrkit import states
 from qcrkit.registers import Subsystem, SystemLayout
 
 
@@ -282,6 +285,32 @@ def test_trace_norm_metric_properties():
         c = q.random_density(4, rng)
         assert abs(q.trace_norm(a - b) - q.trace_norm(b - a)) < 1e-12
         assert q.trace_norm(a - c) <= q.trace_norm(a - b) + q.trace_norm(b - c) + 1e-12
+
+
+def test_max_asymmetry_equals_dense_expression():
+    # the row-strip maximum is the old np.max(np.abs(m - m^dag)), bit for bit
+    rng = np.random.default_rng(16)
+    for dim in (0, 1, 2, 31, 32, 33, 64, 100, 257):
+        for scale in (1.0, 1e-12):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = m + m.conj().T + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            want = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+            assert states._max_asymmetry(m) == want
+    m = np.eye(40, dtype=complex)
+    m[35, 3] = np.nan
+    assert np.isnan(states._max_asymmetry(m))
+
+
+def test_max_asymmetry_makes_no_full_size_temporary():
+    rng = np.random.default_rng(17)
+    rho = q.random_density(512, rng, rank=4)
+    tracemalloc.start()
+    try:
+        states._max_asymmetry(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rho.nbytes
 
 
 def test_trace_norm_rejects_non_matrix():
