@@ -35,7 +35,8 @@ from .construct import (
 from .entanglement import CutSpec, PptReport, all_dealer_cuts_ppt, ppt_check, trace_distance
 from .protocols import InputVerificationError, compose, reduce
 from .statefile import StateFileError, read_state, write_state
-from .states import QuantumState, measurement_distribution
+from .registers import standard_layout
+from .states import QuantumState, _check_cap, measurement_distribution
 from .verify import is_qcr
 
 ENV_CONFIG = "QCRKIT_CONFIG"
@@ -194,45 +195,33 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
     verification = None
     if fam == "example":
         state = build_example_state()
-    elif fam == "ghz":
-        if args.d is None or args.n is None:
-            raise CliError(EXIT_USAGE, "construct ghz needs --d and --n")
-        dims = args.shield_dims or (1,) * (args.n + 1)
-        if len(dims) != args.n + 1:
-            raise CliError(
-                EXIT_USAGE,
-                f"--shield-dims needs {args.n + 1} entries (dealer first), got {len(dims)}",
-            )
-        if args.random:
-            sigma = ShieldSeed.random(dims, _rng_for(cfg, "a random shield seed"))
-        else:
-            sigma = ShieldSeed.basis_zero(dims)
-        state = build_ghz_qcr(args.d, args.n, sigma, cap=cfg.cap)
-    elif fam == "private":
-        if args.d is None:
-            raise CliError(EXIT_USAGE, "construct private needs --d")
-        dims = args.shield_dims or (1, 1)
-        if len(dims) != 2:
-            raise CliError(EXIT_USAGE, "--shield-dims needs 2 entries (dealer, player)")
-        if args.random:
-            state = random_private_state(args.d, dims, _rng_for(cfg, "a random private state"))
-        else:
-            state = build_private_state(args.d, ShieldSeed.basis_zero(dims), cap=cfg.cap)
-    elif fam == "twisted":
-        if args.d is None or args.n is None:
-            raise CliError(EXIT_USAGE, "construct twisted needs --d and --n")
-        dims = args.shield_dims or (args.d,) * (args.n + 1)
-        if len(dims) != args.n + 1:
-            raise CliError(
-                EXIT_USAGE,
-                f"--shield-dims needs {args.n + 1} entries (dealer first), got {len(dims)}",
-            )
-        rng = _rng_for(cfg, "a twisted construction")
-        base = build_ghz_qcr(args.d, args.n, ShieldSeed.basis_zero(dims), cap=cfg.cap)
-        twist = random_party_twist(base.layout, rng)
-        state, verification = build_twisted_qcr(base, twist, tol=tol)
-    else:  # argparse choices make this unreachable
-        raise CliError(EXIT_USAGE, f"unknown family {fam!r}")
+    else:
+        n = 1 if fam == "private" else args.n
+        if args.d is None or n is None:
+            need = "--d" if fam == "private" else "--d and --n"
+            raise CliError(EXIT_USAGE, f"construct {fam} needs {need}")
+        dims = args.shield_dims or (args.d if fam == "twisted" else 1,) * (n + 1)
+        # the layout checks the shield-dim count; the cap is checked before
+        # any seed is drawn or shield density allocated
+        _check_cap(standard_layout(args.d, n, dims).total_dim, cfg.cap)
+        if fam == "ghz":
+            if args.random:
+                sigma = ShieldSeed.random(dims, _rng_for(cfg, "a random shield seed"))
+            else:
+                sigma = ShieldSeed.basis_zero(dims)
+            state = build_ghz_qcr(args.d, n, sigma, cap=cfg.cap)
+        elif fam == "private":
+            if args.random:
+                state = random_private_state(args.d, dims, _rng_for(cfg, "a random private state"))
+            else:
+                state = build_private_state(args.d, ShieldSeed.basis_zero(dims), cap=cfg.cap)
+        elif fam == "twisted":
+            rng = _rng_for(cfg, "a twisted construction")
+            base = build_ghz_qcr(args.d, n, ShieldSeed.basis_zero(dims), cap=cfg.cap)
+            twist = random_party_twist(base.layout, rng)
+            state, verification = build_twisted_qcr(base, twist, tol=tol)
+        else:  # argparse choices make this unreachable
+            raise CliError(EXIT_USAGE, f"unknown family {fam!r}")
 
     note = f"constructed by qcr construct {fam}"
     write_state(state, args.out, note=note)

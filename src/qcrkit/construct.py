@@ -21,7 +21,7 @@ import numpy as np
 
 from . import defaults
 from .registers import DEALER, Subsystem, SystemLayout, index_set, standard_layout
-from .states import QuantumState, _check_unitary, _wrap, apply_controlled, apply_unitary
+from .states import QuantumState, _check_cap, _check_unitary, _wrap, apply_controlled, apply_unitary
 
 
 class ShieldSeed:
@@ -182,9 +182,7 @@ def _seeded_layout(
 ) -> tuple[SystemLayout, ShieldSeed]:
     """Standard layout for sigma (trivial when None), checked against the cap."""
     layout = standard_layout(d, n_players, None if sigma is None else sigma.dims)
-    limit = defaults.DIM_CAP if cap is None else cap
-    if layout.total_dim > limit:
-        raise ValueError(f"state dimension {layout.total_dim} exceeds cap {limit}")
+    _check_cap(layout.total_dim, cap)
     return layout, ShieldSeed.trivial(n_players + 1) if sigma is None else sigma
 
 

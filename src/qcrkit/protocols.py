@@ -7,7 +7,9 @@ the remaining parties are left holding a smaller resource state.
 compose: the dealer merges two resource states it shares with disjoint
 player groups by adding one info register into the other (modular
 controlled addition), after which the absorbed register joins the dealer's
-shield.
+shield. The addition and the register reorder that follows only permute
+basis states, so compose is one basis permutation of the tensor product:
+a single gather, exact by construction.
 
 expand_from_private: left fold of compose over a list of two-party states.
 """
@@ -23,6 +25,8 @@ from . import defaults
 from .registers import DEALER, ENV_PARTY, Subsystem, SystemLayout, digit_sum
 from .states import (
     QuantumState,
+    _grouped,
+    _wrap,
     apply_unitary,
     measurement_distribution,
     partial_trace,
@@ -223,7 +227,10 @@ def compose(
     The joint state gets b's dealer info register added into a's (modular
     controlled addition, target on a's side); b's dealer info register is
     then reclassified as a dealer shield, players are renumbered A1..A_{N+M}
-    (a's first), and the relabeling is recorded.
+    (a's first), and the relabeling is recorded. Addition and reorder are
+    one basis permutation, applied as a single gather from kron(a, b), so
+    every entry is copied, never computed: the result is exact by
+    construction.
     """
     a.layout.require_crypto_form()
     b.layout.require_crypto_form()
@@ -235,82 +242,67 @@ def compose(
     if check:
         _require_certified(a, tol, "first composition input")
         _require_certified(b, tol, "second composition input")
-    a1 = a.relabeled({l: f"a:{l}" for l in a.layout.labels})
-    b1 = b.relabeled({l: f"b:{l}" for l in b.layout.labels})
-    joint = tensor_product(a1, b1, cap=cap)
-    a_dbar = f"a:{a.layout.info_label(DEALER)}"
-    b_dbar = f"b:{b.layout.info_label(DEALER)}"
-    joint = apply_unitary(joint, cx_matrix(d), [a_dbar, b_dbar])
-
-    # target order and names for the merged layout
-    entries: list[tuple[str, Subsystem]] = []
-    entries.append((a_dbar, Subsystem("D.info", DEALER, "info", d)))
-    shields = 0
-    for side, src in (("a", a.layout), ("b", b.layout)):
-        if side == "b":
-            shields += 1
-            entries.append(
-                (b_dbar, Subsystem(_numbered("D.shield", shields), DEALER, "shield", d))
-            )
-        info = src.info_label(DEALER)
-        for l in src.party_labels(DEALER):
-            if l == info:
-                continue
-            shields += 1
-            entries.append(
-                (
-                    f"{side}:{l}",
-                    Subsystem(
-                        _numbered("D.shield", shields), DEALER, "shield", src.subsystem(l).dim
-                    ),
-                )
-            )
+    regs = a.layout.subsystems + b.layout.subsystems
+    sides = ((a.layout, 0), (b.layout, len(a.layout)))
+    # each merged register as (its position in kron(a, b), name, party, kind),
+    # in merged order
+    a_dealer, b_dealer = (
+        [off + lay.position(l) for l in lay.party_labels(DEALER)] for lay, off in sides
+    )
+    target, control = (off + lay.position(lay.info_label(DEALER)) for lay, off in sides)
+    shields = (
+        [i for i in a_dealer if i != target] + [control] + [i for i in b_dealer if i != control]
+    )
+    merged = [(target, "D.info", DEALER, "info")]
+    merged += [(i, _numbered("D.shield", n), DEALER, "shield") for n, i in enumerate(shields, 1)]
     k = 0
-    for side, src in (("a", a.layout), ("b", b.layout)):
-        for p in src.players:
+    for lay, off in sides:
+        for p in lay.players:
             k += 1
             sc = 0
-            for l in src.party_labels(p):
-                sub = src.subsystem(l)
-                if sub.kind == "info":
-                    entries.append(
-                        (f"{side}:{l}", Subsystem(f"A{k}.info", f"A{k}", "info", sub.dim))
-                    )
+            for i in (off + lay.position(l) for l in lay.party_labels(p)):
+                if regs[i].kind == "info":
+                    name = f"A{k}.info"
                 else:
                     sc += 1
-                    entries.append(
-                        (
-                            f"{side}:{l}",
-                            Subsystem(_numbered(f"A{k}.shield", sc), f"A{k}", "shield", sub.dim),
-                        )
-                    )
-    ec = 0
-    for side, src in (("a", a.layout), ("b", b.layout)):
-        for l in src.env_labels:
-            ec += 1
-            entries.append(
-                (
-                    f"{side}:{l}",
-                    Subsystem(_numbered("E", ec), ENV_PARTY, "env", src.subsystem(l).dim),
-                )
-            )
+                    name = _numbered(f"A{k}.shield", sc)
+                merged.append((i, name, f"A{k}", regs[i].kind))
+    envs = [off + lay.position(l) for lay, off in sides for l in lay.env_labels]
+    merged += [(i, _numbered("E", n), ENV_PARTY, "env") for n, i in enumerate(envs, 1)]
 
-    order = [temp for temp, _ in entries]
-    merged_layout = SystemLayout(tuple(sub for _, sub in entries))
-    merged = joint.permuted(order).with_layout(merged_layout)
+    layout = SystemLayout(
+        tuple(Subsystem(name, p, kind, regs[i].dim) for i, name, p, kind in merged)
+    )
+    names = [""] * len(regs)
+    for i, name, _, _ in merged:
+        names[i] = name
+    n_a = len(a.layout)
+    relabel_a = dict(zip(a.layout.labels, names[:n_a]))
+    relabel_b = dict(zip(b.layout.labels, names[n_a:]))
+    joint = tensor_product(a.relabeled(relabel_a), b.relabeled(relabel_b), cap=cap)
 
-    final_of = {temp: sub.label for temp, sub in entries}
+    # basis state t, c (target, control digits) of the controlled addition
+    # comes from t - c, c; the reorder is a second index map over the result
+    idx = np.arange(joint.dim)
+    pairs, ungroup = _grouped(joint.layout, idx, [names[target], names[control]])
+    t, c = np.arange(d)[:, None], np.arange(d)
+    src = ungroup(pairs.reshape(d, d, -1)[(t - c) % d, c])
+    src = src[_grouped(joint.layout, idx, layout.labels)[0].reshape(-1)]
+    data = joint.vector[src] if joint.is_pure else joint.matrix[np.ix_(src, src)]
+    # kron leaves some zeros as -0.0; make them +0.0, since qcr-state/1 writes the sign
+    data += 0.0
+
     record = CompositionRecord(
         qudit_dim=d,
         layout_a=a.layout,
         layout_b=b.layout,
-        layout=merged_layout,
+        layout=layout,
         cx_target="D.info",
-        cx_control=final_of[b_dbar],
-        relabel_a={l: final_of[f"a:{l}"] for l in a.layout.labels},
-        relabel_b={l: final_of[f"b:{l}"] for l in b.layout.labels},
+        cx_control=names[control],
+        relabel_a=relabel_a,
+        relabel_b=relabel_b,
     )
-    return merged, record
+    return _wrap(layout, data), record
 
 
 def expand_from_private(

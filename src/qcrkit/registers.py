@@ -40,12 +40,13 @@ class Subsystem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> Subsystem:
-        return cls(
-            label=str(doc["label"]),
-            party=str(doc["party"]),
-            kind=str(doc["kind"]),
-            dim=int(doc["dim"]),
-        )
+        """Read a register as written by to_dict: three strings and an integer dim."""
+        label, party, kind, dim = (doc[k] for k in ("label", "party", "kind", "dim"))
+        if not all(isinstance(x, str) for x in (label, party, kind)):
+            raise TypeError("register label, party and kind must be strings")
+        if type(dim) is not int:
+            raise TypeError(f"register dim must be an integer, got {dim!r}")
+        return cls(label, party, kind, dim)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import defaults
 from .registers import SystemLayout
-from .states import QuantumState
+from .states import QuantumState, _check_cap
 
 FORMAT = "qcr-state/1"
 
@@ -64,9 +63,7 @@ def text_to_state(text: str, cap: int | None = None) -> QuantumState:
         layout = SystemLayout.from_dict(layout_doc)
     except (KeyError, TypeError, ValueError) as e:
         raise StateFileError(f"bad layout: {e}") from None
-    limit = defaults.DIM_CAP if cap is None else cap
-    if layout.total_dim > limit:
-        raise StateFileError(f"state dimension {layout.total_dim} exceeds cap {limit}")
+    _check_cap(layout.total_dim, cap, StateFileError)
     rep = doc.get("representation")
     if rep not in ("pure", "density"):
         raise StateFileError(f"unknown representation {rep!r}")

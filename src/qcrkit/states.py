@@ -17,8 +17,7 @@ registers carry no axis there, so the register count sets no ceiling.
 One block loop, ``_apply_blocks``, applies unitaries to vectors and
 densities alike: each block multiplies its rows of the grouped array and
 then, for a density, its columns by the block's adjoint. Permutation
-blocks, such as the dealer's shift and controlled addition, keep dyadic
-entries exact.
+blocks, such as the dealer's shift, keep dyadic entries exact.
 
 Trace norms of Gram differences, ||A A^dag - B B^dag||_1, come from the
 factors (``_gram_difference_norm``): on the QR triangle of [A B] when the
@@ -186,15 +185,19 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
     overlap = set(a.layout.labels) & set(b.layout.labels)
     if overlap:
         raise ValueError(f"register labels collide: {sorted(overlap)}")
-    limit = defaults.DIM_CAP if cap is None else cap
-    joint_dim = a.dim * b.dim
-    if joint_dim > limit:
-        raise ValueError(f"joint dimension {joint_dim} exceeds cap {limit}")
+    _check_cap(a.dim * b.dim, cap)
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
     if a.is_pure and b.is_pure:
         return QuantumState(layout, vector=np.kron(a.vector, b.vector), validate=False, copy=False)
     m = np.kron(a.density_matrix(), b.density_matrix())
     return QuantumState(layout, matrix=m, validate=False, copy=False)
+
+
+def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) -> None:
+    """Raise error when a state of dimension dim would exceed cap (DIM_CAP when None)."""
+    limit = defaults.DIM_CAP if cap is None else cap
+    if dim > limit:
+        raise error(f"state dimension {dim} exceeds cap {limit}")
 
 
 def _max_asymmetry(m: np.ndarray) -> float:

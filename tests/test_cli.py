@@ -84,6 +84,28 @@ def test_construct_over_cap_is_clean_usage_error(tmp_path, capsys):
     assert not (tmp_path / "big.json").exists()
 
 
+def test_construct_random_private_checks_cap_before_drawing(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = ["construct", "private", "--d", "2", "--shield-dims", "2,2", "--random",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv + ["--cap", "8"]) == 64
+    assert "exceeds cap 8" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--cap", "16"]) == 0
+
+
+def test_construct_random_ghz_over_cap_draws_no_shield_density(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_density called for an over-cap state")
+
+    monkeypatch.setattr(q.construct, "random_density", refuse)
+    out = tmp_path / "g.json"
+    argv = ["construct", "ghz", "--d", "2", "--n", "3", "--shield-dims", "64,64,64,64",
+            "--random", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 64
+    assert not out.exists()
+
+
 def test_construct_missing_parameters(tmp_path):
     assert main(["construct", "ghz", "--out", str(tmp_path / "x.json")]) == 64
     assert main(["construct", "private", "--out", str(tmp_path / "x.json")]) == 64

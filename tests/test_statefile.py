@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
+from qcrkit.cli import main
 from qcrkit.statefile import StateFileError
 
 
@@ -119,6 +120,22 @@ def test_malformed_documents_are_rejected():
     doc["entries"] = [[0.0, 0.0] for _ in doc["entries"]]
     with pytest.raises(StateFileError):
         q.text_to_state(dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", 2.5), ("dim", 2.0), ("dim", "2"), ("dim", True), ("dim", None),
+    ("label", 7), ("label", None), ("party", ["D"]), ("kind", 1),
+])
+def test_layout_fields_must_have_their_json_types(key, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCRKIT_CONFIG", raising=False)
+    doc = valid_doc()
+    doc["layout"][0][key] = value
+    with pytest.raises(StateFileError):
+        q.text_to_state(dumps(doc))
+    path = tmp_path / "typed.json"
+    path.write_text(dumps(doc))
+    assert main(["verify", str(path)]) == 65
+    assert "state file error" in capsys.readouterr().err
 
 
 def test_dimension_cap_is_enforced_before_parsing_entries():
