@@ -1,7 +1,25 @@
-"""PPT analysis across bipartite cuts and trace-distance diagnostics."""
+"""PPT analysis across bipartite cuts and trace-distance diagnostics.
+
+Every spectrum here has three paths, and each call logs the one it took on
+the ``qcrkit`` logger at DEBUG:
+
+- ``pure``: a PPT check on a pure vector reads its minimum eigenvalue off
+  the Schmidt coefficients across the cut (one small SVD), so no density
+  is formed even at the dimension cap.
+- ``blocks``: a density's partial transpose, or the difference of two
+  states, whose exactly nonzero entries split into several connected
+  components is solved block by block (``states._block_spectrum``), with
+  one batched ``eigvalsh`` per block size. States with a cryptographic
+  layout split into hundreds of blocks of at most a few dozen rows.
+- ``dense``: a matrix with one component gets one dense ``eigvalsh``.
+
+Trace distances of two pure vectors come from their (dim, 2) factor pair
+(``states._gram_difference_norm``) and log nothing.
+"""
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -9,7 +27,15 @@ import numpy as np
 
 from . import defaults
 from .registers import DEALER, SystemLayout
-from .states import QuantumState, _gram_difference_norm, _hermitian_trace_norm, partial_transpose
+from .states import (
+    QuantumState,
+    _block_spectrum,
+    _gram_difference_norm,
+    _grouped,
+    partial_transpose,
+)
+
+logger = logging.getLogger("qcrkit")
 
 
 @dataclass(frozen=True)
@@ -92,16 +118,46 @@ def ppt_check(state: QuantumState, cut: CutSpec, tol: float = defaults.PPT_TOL) 
 
     Environment registers, if any, are left untransposed (they sit with
     side one). The flag is True when the minimum eigenvalue is >= -tol.
+
+    A pure vector with Schmidt coefficients s_1 >= s_2 >= ... across the
+    cut (side two against everything else) has a partial transpose with
+    spectrum {s_i^2, +-s_i s_j (i < j), 0}, so its minimum is -s_1 s_2, or
+    0 at Schmidt rank 1: one SVD of the (side two, rest) matrix, and no
+    density is formed (path ``pure``). A density's partial transpose is
+    handed to ``states._block_spectrum``, which solves it block by block
+    when its nonzero entries split into several components (path
+    ``blocks``, as for states with a cryptographic layout) and by one dense
+    ``eigvalsh`` otherwise (path ``dense``). Each call logs its path on the
+    ``qcrkit`` logger at DEBUG.
     """
     cut.validate(state.layout)
-    pt = partial_transpose(state.to_density(), cut.side_two)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    side_two = ",".join(cut.side_two)
+    if state.is_pure:
+        m, _ = _grouped(state.layout, state.vector, cut.side_two)
+        s = np.linalg.svd(m, compute_uv=False)
+        if s.size > 1:
+            min_eig = -float(s[0] * s[1]) + 0.0
+        else:
+            # a product across the cut: {1, 0, ...}, or {1} at dimension 1
+            min_eig = 0.0 if state.dim > 1 else float(s[0] ** 2)
+        logger.debug("ppt: side two %s, dim %d, path pure, svd %dx%d",
+                     side_two, state.dim, *m.shape)
+    else:
+        pt = partial_transpose(state, cut.side_two)
+        vals, blocks, largest = _block_spectrum(pt)
+        min_eig = float(vals[0])
+        logger.debug("ppt: side two %s, dim %d, path %s, blocks %d, largest %d",
+                     side_two, state.dim, _path(blocks), blocks, largest)
     return CutResult(
         side_one=cut.side_one,
         side_two=cut.side_two,
         min_eigenvalue=min_eig,
         ppt=min_eig >= -tol,
     )
+
+
+def _path(blocks: int) -> str:
+    return "dense" if blocks == 1 else "blocks"
 
 
 def all_dealer_cuts_ppt(state: QuantumState, tol: float = defaults.PPT_TOL) -> PptReport:
@@ -132,11 +188,17 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     no dim x dim matrix is formed. The closed form 2 sqrt(1 - |<a|b>|^2) is
     not used, because it cancels catastrophically for nearly equal states.
     When either state is a density, the sum of |eigenvalues| of the
-    Hermitian difference is taken (``eigvalsh``, about half the cost of the
-    SVD in ``trace_norm``).
+    Hermitian difference is taken from ``states._block_spectrum``: block by
+    block when the difference's nonzero entries split into several
+    components (path ``blocks``), else by one dense ``eigvalsh`` (path
+    ``dense``), about half the cost of the SVD in ``trace_norm``. A density
+    call logs its path on the ``qcrkit`` logger at DEBUG.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_pure and b.is_pure:
         return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
-    return _hermitian_trace_norm(a.density_matrix() - b.density_matrix())
+    vals, blocks, largest = _block_spectrum(a.density_matrix() - b.density_matrix())
+    logger.debug("trace_distance: dim %d, path %s, blocks %d, largest %d",
+                 a.dim, _path(blocks), blocks, largest)
+    return float(np.abs(vals).sum())

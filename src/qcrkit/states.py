@@ -17,12 +17,19 @@ registers carry no axis there, so the register count sets no ceiling.
 One block loop, ``_apply_blocks``, applies unitaries to vectors and
 densities alike: each block multiplies its rows of the grouped array and
 then, for a density, its columns by the block's adjoint. Permutation
-blocks, such as the dealer's shift, keep dyadic entries exact.
+blocks, such as the dealer's shift, keep dyadic entries exact, and every
+zero comes out as +0.0.
 
 Trace norms of Gram differences, ||A A^dag - B B^dag||_1, come from the
 factors (``_gram_difference_norm``): on the QR triangle of [A B] when the
 factors have fewer columns than rows, else on the dense difference. The
 public ``trace_norm`` stays a full SVD; tests use it as the oracle.
+
+Spectra of sparse Hermitian matrices, such as partial transposes and
+differences of states with a cryptographic layout, come block by block
+(``_block_spectrum``): the exactly nonzero entries split the matrix into
+connected components, and components of equal size are solved in one
+batched ``eigvalsh``. A matrix with one component is solved densely.
 """
 from __future__ import annotations
 
@@ -61,7 +68,7 @@ class QuantumState:
                 raise ValueError(f"vector shape {arr.shape} does not match layout dim {dim}")
             if validate:
                 norm2 = float(np.real(np.vdot(arr, arr)))
-                if abs(norm2 - 1.0) > defaults.STATE_TOL:
+                if not abs(norm2 - 1.0) <= defaults.STATE_TOL:
                     raise ValueError(f"vector norm^2 = {norm2!r}, expected 1 within tolerance")
             self._vector: np.ndarray | None = arr
             self._matrix: np.ndarray | None = None
@@ -71,10 +78,10 @@ class QuantumState:
                 raise ValueError(f"matrix shape {arr.shape} does not match layout dim {dim}")
             if validate:
                 herm = _max_asymmetry(arr)
-                if herm > defaults.STATE_TOL:
+                if not herm <= defaults.STATE_TOL:
                     raise ValueError(f"matrix is not Hermitian (max asymmetry {herm!r})")
                 tr = float(np.real(np.trace(arr)))
-                if abs(tr - 1.0) > defaults.STATE_TOL:
+                if not abs(tr - 1.0) <= defaults.STATE_TOL:
                     raise ValueError(f"matrix trace = {tr!r}, expected 1 within tolerance")
             self._vector = None
             self._matrix = arr
@@ -206,13 +213,16 @@ def _max_asymmetry(m: np.ndarray) -> float:
     |m[i, j] - conj(m[j, i])| is the same number, bit for bit, as
     |m[j, i] - conj(m[i, j])|, so only the upper triangle is visited, 32
     rows at a time: each row strip is compared with the matching column
-    strip. NaN entries propagate, as in np.max.
+    strip. NaN entries propagate, as in np.max, and so do infinite ones
+    (inf - inf is NaN, without a warning), so ``not result <= tol`` rejects
+    a non-finite matrix.
     """
     out = np.float64(0.0)
-    for i in range(0, m.shape[0], 32):
-        d = m[i:, i:i + 32].T.conj()
-        np.subtract(m[i:i + 32, i:], d, out=d)
-        out = np.maximum(out, np.max(np.abs(d)))
+    with np.errstate(invalid="ignore"):
+        for i in range(0, m.shape[0], 32):
+            d = m[i:, i:i + 32].T.conj()
+            np.subtract(m[i:i + 32, i:], d, out=d)
+            out = np.maximum(out, np.max(np.abs(d)))
     return float(out)
 
 
@@ -319,6 +329,70 @@ def _hermitian_trace_norm(h: np.ndarray) -> float:
     Only the lower triangle of h is read.
     """
     return float(np.abs(np.linalg.eigvalsh(h)).sum())
+
+
+def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Eigenvalues of a Hermitian matrix, ascending, found block by block.
+
+    Like ``eigvalsh``, only the lower triangle of h is read. Its exactly
+    nonzero entries (no tolerance: 1e-300 counts) link rows into connected
+    components, and h restricted to one component is a diagonal block of h
+    up to a permutation, so the spectrum is the union of the blocks'
+    spectra. Components of equal size are gathered into one stack and
+    solved by one batched ``eigvalsh``; a single component is one plain
+    dense ``eigvalsh`` of h. Also returns the number of blocks and the
+    largest block size.
+    """
+    n = h.shape[0]
+    root = _components(h)
+    # sizes[r] is the size of the component rooted at r, 0 off the roots;
+    # bincount and cumsum, not np.unique, whose first call imports numpy.ma
+    sizes = np.bincount(root, minlength=n)
+    if sizes[0] == n:
+        return np.linalg.eigvalsh(h), 1, n
+    order = np.argsort(root, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    parts = []
+    for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:  # each block size in use
+        # rows of idx are the components of size k, each in ascending order,
+        # so every block's lower triangle is read from h's lower triangle
+        idx = order[starts[sizes == k][:, None] + np.arange(k)]
+        parts.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).reshape(-1))
+    return np.sort(np.concatenate(parts)), int(np.count_nonzero(sizes)), int(sizes.max())
+
+
+def _components(h: np.ndarray) -> np.ndarray:
+    """Smallest index in each row's component of the graph of h's lower-triangle nonzeros.
+
+    Union-find over the edges i > j with h[i, j] != 0, taken in row strips
+    of about 2^15 entries, so no array of dim^2 entries (mask or index list)
+    is formed. For each strip, until its edges join no two components:
+    the larger of the two roots of every edge is hooked onto the smaller
+    (``np.minimum.at``), then pointers jump until every row points straight
+    at its root. A random path graph needs O(log dim) such rounds per strip.
+    """
+    n = h.shape[0]
+    root = np.arange(n)
+    step = max(1, 2**15 // n)
+    for s in range(0, n, step):
+        rows, cols = np.nonzero(h[s:s + step, :s + step] != 0)
+        lower = cols < rows + s
+        u, v = rows[lower] + s, cols[lower]
+        while True:
+            ru, rv = root[u], root[v]
+            apart = ru != rv
+            if not apart.any():
+                break
+            u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
+        if not root.any():
+            break  # one component already
+    return root
 
 
 def _gram_side(rows: int, cols: int) -> str:
@@ -451,7 +525,7 @@ def purify(
         return QuantumState(layout, vector=state.vector, validate=False, copy=False)
     rho = state.matrix
     herm = _max_asymmetry(rho)
-    if herm > defaults.STATE_TOL:
+    if not herm <= defaults.STATE_TOL:
         raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
     amps, path = _cholesky_factor(rho, rank_eps), "factor"
     if amps is None:
@@ -516,7 +590,7 @@ def _check_unitary(u: np.ndarray, dim: int, tol: float) -> np.ndarray:
     if u.shape != (dim, dim):
         raise ValueError(f"unitary shape {u.shape} does not match target dimension {dim}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not unitary within {tol} (max deviation {dev!r})")
     return u
 
@@ -592,4 +666,7 @@ def _apply_blocks(
         rows[k] = b @ rows[k]
         if not state.is_pure:
             out[:, :, :, k] = b.conj() @ out[:, :, :, k]
+    # a matmul can leave zeros as -0.0 (0 * -x), depending on the BLAS
+    # kernel; make them +0.0, since qcr-state/1 writes the sign
+    out += 0.0
     return _wrap(layout, ungroup(out))

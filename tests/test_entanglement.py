@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,28 @@ def test_ppt_report_serialization(max_ent):
     entry = doc["cuts"][0]
     assert set(entry) == {"side_one", "side_two", "min_eigenvalue", "ppt"}
 
+
+
+def test_ppt_and_density_trace_distance_log_their_path(caplog, example_state):
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    dense = example_state.to_density()
+    cut = q.CutSpec.dealer_cut(example_state.layout, ["A1"])
+    separable = q.QuantumState(two_party_shield_layout(2, 2),
+                               matrix=q.random_separable_density(2, 2, np.random.default_rng(205)))
+    q.ppt_check(example_state, cut)
+    q.ppt_check(dense, cut)
+    q.ppt_check(separable, q.CutSpec(("D.a",), ("A1.a",)))
+    q.trace_distance(dense, q.build_example_state().to_density())
+    q.trace_distance(example_state, example_state)
+    records = [r for r in caplog.records if r.name == "qcrkit"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    lines = [r.getMessage() for r in records]
+    assert len(lines) == 4
+    assert lines[0] == "ppt: side two A1.info,A1.shield, dim 64, path pure, svd 4x16"
+    assert lines[1].startswith("ppt: side two A1.info,A1.shield, dim 64, path blocks, blocks ")
+    assert lines[2] == "ppt: side two A1.a, dim 4, path dense, blocks 1, largest 4"
+    # equal states differ by exact zeros: 64 single-entry blocks
+    assert lines[3] == "trace_distance: dim 64, path blocks, blocks 64, largest 1"
 
 # -- trace distance ------------------------------------------------------
 

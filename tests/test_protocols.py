@@ -69,6 +69,29 @@ def test_reduce_zero_shift_branch_is_untouched():
     assert outcomes[(1,)].correction_applied
 
 
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_reduce_writes_every_zero_as_positive(pure):
+    # the dealer's shift runs through a matmul that can leave -0.0, which
+    # qcr-state/1 would write out; values must equal the step-by-step
+    # pipeline's (np.array_equal does not see the sign of a zero)
+    corrected = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        s = q.build_ghz_qcr(3, 3, q.ShieldSeed.random((2, 1, 1, 1), rng, pure=pure))
+        for oc in q.reduce(s, ["A3"], check=False):
+            _, post = q.project_registers(s, ["A3.info"], oc.digits)
+            post = q.partial_trace(post, [l for l in s.layout.party_labels("A3")
+                                          if l != "A3.info"])
+            if oc.correction_applied:
+                corrected += 1
+                post = q.apply_unitary(post, q.shift_matrix(3, oc.beta), ["D.info"])
+            got = oc.state._data
+            assert np.array_equal(got, post._data)
+            for part in (got.real, got.imag):
+                assert not np.any(np.signbit(part[part == 0]))
+    assert corrected > 0
+
 def test_reduce_beta_is_digit_sum():
     g = q.build_ghz_qcr(3, 3)
     for oc in q.reduce(g, ["A2", "A3"]):

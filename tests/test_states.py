@@ -39,6 +39,24 @@ def test_state_constructor_validation():
         q.QuantumState(layout, matrix=np.eye(4, dtype=complex))  # trace 4
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_state_constructor_rejects_non_finite_entries(bad):
+    layout = two_register_layout(2, 2)
+    vector = np.array([bad, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError):
+        q.QuantumState(layout, vector=vector)
+    off = np.eye(4, dtype=complex) / 4
+    off[0, 1] = off[1, 0] = bad
+    with pytest.raises(ValueError):
+        q.QuantumState(layout, matrix=off)
+    diag = np.eye(4, dtype=complex) / 4
+    diag[2, 2] = bad
+    with pytest.raises(ValueError):
+        q.QuantumState(layout, matrix=diag)
+    with pytest.raises(ValueError):
+        q.ShieldSeed((2, 2), matrix=off)
+
 def test_state_representation_accessors():
     layout = two_register_layout(2, 2)
     v = np.zeros(4, dtype=complex)
