@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, Subsystem, SystemLayout, index_set, standard_layout
+from .registers import DEALER, Subsystem, SystemLayout, _digit_sum_mask, standard_layout
 from .states import QuantumState, _check_cap, _check_unitary, _wrap, apply_controlled, apply_unitary
 
 
@@ -200,7 +200,7 @@ def _fill_support(
     """
     d = layout.qudit_dim
     n_info = len(layout.info_labels)
-    members = np.array(index_set(n_info, 0, d).members).reshape(-1, n_info)
+    members = np.argwhere(_digit_sum_mask(n_info, 0, d))
     weight = 1.0 / np.sqrt(len(members)) if copies == 1 else 1.0 / len(members)
     by_dealer = [members[members[:, 0] == i] for i in range(d)]
     data = np.zeros((layout.total_dim,) * copies, dtype=np.complex128)
@@ -241,11 +241,11 @@ def build_twisted_qcr(
     layout.require_crypto_form()
     d = layout.qudit_dim
     n_info = len(layout.info_labels)
-    support = set(index_set(n_info, 0, d).members)
+    support = _digit_sum_mask(n_info, 0, d)
     for key in twist.keys():
         if len(key) != n_info or any(x >= d for x in key):
             raise ValueError(f"twist key {key} is not a length-{n_info} string over Z_{d}")
-        if key not in support:
+        if not support[key]:
             raise ValueError(f"twist key {key} lies outside the digit-sum-0 support")
     targets = twist.targets if twist.targets is not None else layout.shield_labels
     if not targets:
@@ -277,7 +277,7 @@ def per_party_twist(
                 f"per-party twist needs exactly one shield register for {party!r}, found {len(owned)}"
             )
     unitaries: dict[tuple[int, ...], np.ndarray] = {}
-    for key in index_set(len(parties), 0, d).members:
+    for key in map(tuple, np.argwhere(_digit_sum_mask(len(parties), 0, d)).tolist()):
         digit_of = dict(zip(parties, key))
         factors = []
         for label in layout.shield_labels:

@@ -5,13 +5,17 @@ by a party. The dealer party "D" holds one info register plus any number of
 shield registers; each player holds one info register and optional shields;
 purifying environments are registers of kind "env". Layout order fixes the
 tensor order of every array in the package.
+
+The support, the digit strings that sum to t mod d, has one definition:
+``_digit_sum_mask``, read by ``index_set``, the verifier and the builders.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 DEALER = "D"
 ENV_PARTY = "E"
@@ -247,12 +251,20 @@ def index_set(digits: int, target: int, modulus: int) -> IndexSet:
         raise ValueError("digit modulus must be >= 2")
     if not 0 <= target < modulus:
         raise ValueError(f"target {target} outside Z_{modulus}")
-    members = tuple(
-        s
-        for s in itertools.product(range(modulus), repeat=digits)
-        if sum(s) % modulus == target
-    )
+    members = tuple(map(tuple, np.argwhere(_digit_sum_mask(digits, target, modulus)).tolist()))
     return IndexSet(digits=digits, modulus=modulus, target=target, members=members)
+
+
+def _digit_sum_mask(digits: int, target: int, modulus: int) -> np.ndarray:
+    """Boolean (modulus,) * digits array: True where the digit sum is target mod modulus.
+
+    Built by ``np.add.outer`` from modulus^digits ints, with no index grid;
+    ``np.argwhere`` lists its strings in lexicographic order.
+    """
+    sums = np.zeros((), dtype=np.intp)
+    for _ in range(digits):
+        sums = np.add.outer(sums, np.arange(modulus)) % modulus
+    return sums == target
 
 
 def standard_layout(

@@ -75,10 +75,11 @@ def text_to_state(text: str, cap: int | None = None) -> QuantumState:
     if len(entries) != expected:
         raise StateFileError(f"expected {expected} entries, found {len(entries)}")
     try:
-        pairs = np.asarray(entries, dtype=np.float64)
+        pairs = np.array(entries)
     except (TypeError, ValueError):
         raise StateFileError("entries must be [real, imaginary] number pairs") from None
-    if pairs.shape != (expected, 2):
+    # only JSON numbers: a float64 conversion would also parse strings like "0.5"
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (expected, 2):
         raise StateFileError("entries must be [real, imaginary] number pairs")
     if not np.all(np.isfinite(pairs)):
         raise StateFileError("entries contain non-finite values")

@@ -15,12 +15,15 @@ coalitions are dominated. The eavesdropper-only coalition is likewise
 implied, and shows up explicitly only for a single player or in
 exhaustive mode.
 
+Condition (i) reads the support as one boolean mask, ``_digit_sum_mask``.
+
 Condition (ii) works from branch factors, never from adversary-sized
-densities. Each dealer branch, a pure vector, is regrouped once per
-coalition as a matrix M with one row per adversary basis state and one
-column per hidden one, so the adversary's state is M M^dag. The trace
-distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken on
-the smaller side: from the QR triangle of [Ma Mb] when the two factors
+densities. The global pure vector (the state, or its purification) is
+split by dealer digit once, for the branch probabilities p. Per coalition
+it is regrouped once as m = (dealer digit, adversary, hidden), and branch
+i's factor M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. The
+trace distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken
+on the smaller side: from the QR triangle of [Ma Mb] when the two factors
 have fewer columns than the adversary has dimensions, else from the
 adversary-sized difference.
 """
@@ -29,18 +32,19 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
+import numpy as np
+
 from . import defaults
-from .registers import DEALER, SystemLayout, index_set
+from .registers import DEALER, SystemLayout, _digit_sum_mask
 from .states import (
     QuantumState,
+    _branch,
     _gram_difference_norm,
     _gram_side,
     _grouped,
     measurement_distribution,
-    project_registers,
     purify,
 )
 
@@ -158,40 +162,18 @@ def check_condition_i(state: QuantumState, tol: float = defaults.VERIFY_TOL) -> 
     d = layout.qudit_dim
     info = layout.info_labels
     probs = measurement_distribution(state, info)
-    support = index_set(len(info), 0, d)
-    expected = 1.0 / support.size
-    max_dev = 0.0
-    off = probs.copy()
-    for m in support.members:
-        max_dev = max(max_dev, abs(float(probs[m]) - expected))
-        off[m] = 0.0
-    off_mass = float(off.sum())
+    on = _digit_sum_mask(len(info), 0, d)
+    size = int(np.count_nonzero(on))
+    expected = 1.0 / size
+    max_dev = float(np.max(np.abs(probs[on] - expected)))
+    off_mass = float(np.where(on, 0.0, probs).sum())
     return ConditionIReport(
         passed=(max_dev <= tol and off_mass <= tol),
         expected_probability=expected,
         max_deviation=max_dev,
         off_support_mass=off_mass,
-        support_size=support.size,
+        support_size=size,
     )
-
-
-def _global_pure(state: QuantumState) -> QuantumState:
-    """The state itself if already a vector, else a purification."""
-    return state if state.is_pure else purify(state)
-
-
-def _dealer_branches(pure: QuantumState, dbar: str) -> list[tuple[int, QuantumState]]:
-    """Split a global pure state by the digit of the dealer info register dbar.
-
-    Returns (digit, normalized pure state on the layout without dbar) for
-    every digit with probability above the floor.
-    """
-    branches = []
-    for i in range(pure.layout.subsystem(dbar).dim):
-        p, branch = project_registers(pure, [dbar], [i])
-        if p > defaults.PROB_FLOOR:
-            branches.append((i, branch))
-    return branches
 
 
 def _default_coalitions(players: tuple[str, ...], exhaustive: bool) -> list[tuple[str, ...]]:
@@ -223,25 +205,27 @@ def check_condition_ii(
     else:
         chosen = [tuple(c) for c in coalitions]
     specs = [CoalitionSpec.for_layout(layout, c) for c in chosen]
-    pure = _global_pure(state)
+    pure = state if state.is_pure else purify(state)
     dbar = layout.info_label(DEALER)
-    branches = _dealer_branches(pure, dbar)
-    rest = pure.layout.without([dbar])
+    rows, _ = _grouped(pure.layout, pure.vector, [dbar])
+    split = [_branch(rows, i)[1:] for i in range(len(rows))]  # (p, sqrt(p)) per dealer digit
+    branches = [(i, norm) for i, (p, norm) in enumerate(split) if p > defaults.PROB_FLOOR]
     reports = []
     for spec in specs:
         bad = set(spec.dishonest)
         # the dishonest players and the environment; the honest players and
         # the dealer's lab stay hidden
-        adversary = [s.label for s in rest.subsystems if s.kind == "env" or s.party in bad]
+        adversary = [s.label for s in pure.layout.subsystems if s.kind == "env" or s.party in bad]
+        g, _ = _grouped(pure.layout, pure.vector, [dbar] + adversary)
+        m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
         # (adversary, hidden) factors: each branch's adversary state is M M^dag
-        factors = [(i, _grouped(rest, b.vector, adversary)[0]) for i, b in branches]
+        factors = [(i, m[i] / norm) for i, norm in branches]
         distances = [
             (_gram_difference_norm(ma, mb), (i, j))
             for (i, ma), (j, mb) in itertools.combinations(factors, 2)
         ]
         dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
-        adv = prod(rest.subsystem(l).dim for l in adversary)
-        cols = rest.total_dim // adv
+        _, adv, cols = m.shape
         logger.debug(
             "condition ii: coalition %s, adversary dim %d, factor columns %d, "
             "path %s, max distance %.3e",

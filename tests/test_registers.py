@@ -16,8 +16,9 @@ def test_index_set_ternary_pairs():
     assert s.members == ((0, 1), (1, 0), (2, 2))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k, d", [
+    (k, d) for k in range(1, 13) for d in (2, 3, 4, 5) if d**k <= 4096
+])
 def test_index_set_against_enumeration(k, d):
     # independent oracle: filter the full product by digit sum
     for t in range(d):
@@ -26,6 +27,7 @@ def test_index_set_against_enumeration(k, d):
         assert list(s.members) == expected
         assert s.size == d ** (k - 1)
         assert list(s.members) == sorted(set(s.members))
+        assert all(type(x) is int for m in s.members for x in m)
 
 
 @pytest.mark.parametrize("d", [2, 3])

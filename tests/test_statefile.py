@@ -122,6 +122,39 @@ def test_malformed_documents_are_rejected():
         q.text_to_state(dumps(doc))
 
 
+@pytest.mark.parametrize("entry", [
+    ["0.5", "0"], ["0.5", 0.0], [None, 0.0], [True, False], [{"re": 0.5}, 0.0],
+])
+def test_entries_must_be_json_numbers(entry, tmp_path, capsys, monkeypatch):
+    # "0.5" would pass a float64 conversion; a state file holds numbers only
+    monkeypatch.delenv("QCRKIT_CONFIG", raising=False)
+    doc = valid_doc()
+    doc["entries"] = [entry] * len(doc["entries"])
+    with pytest.raises(StateFileError, match="number pairs"):
+        q.text_to_state(dumps(doc))
+    path = tmp_path / "strings.json"
+    path.write_text(dumps(doc))
+    assert main(["verify", str(path)]) == 65
+    assert "state file error" in capsys.readouterr().err
+
+
+def test_string_entries_with_valid_values_are_rejected():
+    doc = valid_doc()
+    doc["entries"] = [[repr(re), repr(im)] for re, im in doc["entries"]]
+    with pytest.raises(StateFileError, match="number pairs"):
+        q.text_to_state(dumps(doc))
+
+
+def test_integer_entries_load_as_floats():
+    doc = valid_doc()
+    doc["entries"] = [[0, 0]] * len(doc["entries"])
+    doc["entries"][0] = [1, 0]
+    doc["representation"] = "density"
+    s = q.text_to_state(dumps(doc))
+    assert s.matrix.dtype == np.complex128
+    assert s.matrix[0, 0] == 1.0 and s.trace() == 1.0
+
+
 @pytest.mark.parametrize("key, value", [
     ("dim", 2.5), ("dim", 2.0), ("dim", "2"), ("dim", True), ("dim", None),
     ("label", 7), ("label", None), ("party", ["D"]), ("kind", 1),

@@ -202,3 +202,79 @@ def test_verify_requires_crypto_layout():
     s = q.QuantumState(layout, vector=np.array([1, 0], dtype=complex))
     with pytest.raises(ValueError):
         q.is_qcr(s)
+
+
+def tuple_loop_condition_i(state, tol=1e-9):
+    # the support as a list of digit tuples, walked one string at a time
+    info = state.layout.info_labels
+    d = state.layout.qudit_dim
+    probs = q.measurement_distribution(state, info)
+    members = [s for s in itertools.product(range(d), repeat=len(info)) if sum(s) % d == 0]
+    expected = 1.0 / len(members)
+    max_dev = 0.0
+    off = probs.copy()
+    for m in members:
+        max_dev = max(max_dev, abs(float(probs[m]) - expected))
+        off[m] = 0.0
+    off_mass = float(off.sum())
+    return q.ConditionIReport(
+        passed=(max_dev <= tol and off_mass <= tol),
+        expected_probability=expected,
+        max_deviation=max_dev,
+        off_support_mass=off_mass,
+        support_size=len(members),
+    )
+
+
+def test_condition_i_against_tuple_loop(biased_state):
+    concentrated = q.QuantumState.basis_state(q.standard_layout(2, 2, (2, 2, 2)), (0,) * 6)
+    off_support = q.QuantumState(q.standard_layout(2, 1), matrix=np.eye(4) / 4)
+    for s in (q.build_ghz_qcr(2, 11), q.build_ghz_qcr(4, 5), biased_state, concentrated,
+              off_support, noisy_three_player_state()):
+        assert q.check_condition_i(s) == tuple_loop_condition_i(s)
+
+
+def representation_fixtures():
+    rng = np.random.default_rng(47)
+    ghz_pure_sigma = q.build_ghz_qcr(2, 2, q.ShieldSeed.random((2, 2, 1), rng, pure=True))
+    party, _ = q.build_twisted_qcr(ghz_pure_sigma, q.random_party_twist(ghz_pure_sigma.layout, rng))
+    members = q.index_set(3, 0, 2).members
+    keyed_by_string = q.TwistingFamily({m: q.haar_unitary(4, rng) for m in members})
+    string_twist, _ = q.build_twisted_qcr(ghz_pure_sigma, keyed_by_string)
+    layout = q.standard_layout(2, 1)
+    biased = np.array([np.sqrt(1 / 3), 0, 0, np.sqrt(2 / 3)], dtype=complex)
+    passing = {
+        "example": q.build_example_state(),
+        "ghz pure sigma": ghz_pure_sigma,
+        "ghz(3,2)": q.build_ghz_qcr(3, 2),
+        "private, Haar twist": q.random_private_state(2, (2, 2), rng),
+        "party twist": party,
+    }
+    failing = {
+        "biased": q.QuantumState(layout, vector=biased),
+        "classical": q.QuantumState(layout, matrix=np.diag([0.5, 0, 0, 0.5]).astype(complex)),
+        "noisy ghz(2,3)": noisy_three_player_state(),
+        "full-string twist": string_twist,
+    }
+    return passing, failing
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_one_state_one_verdict_in_every_representation(exhaustive):
+    # aim: the verdict is a property of the state, not of how it is held
+    passing, failing = representation_fixtures()
+    for name, s in {**passing, **failing}.items():
+        density = s.to_density()
+        reports = [q.is_qcr(r, exhaustive=exhaustive) for r in (s, density, q.purify(density))]
+        first = reports[0]
+        assert first.verdict == (name in passing), name
+        for r in reports[1:]:
+            assert r.verdict == first.verdict, name
+            assert r.failing_conditions == first.failing_conditions, name
+            assert [c.dishonest for c in r.coalitions] == [c.dishonest for c in first.coalitions]
+            assert [c.passed for c in r.coalitions] == [c.passed for c in first.coalitions]
+            for a, b in zip(r.coalitions, first.coalitions):
+                assert abs(a.max_distance - b.max_distance) <= 1e-12, name
+            for key in ("max_deviation", "off_support_mass"):
+                gap = abs(getattr(r.condition_i, key) - getattr(first.condition_i, key))
+                assert gap <= 1e-12, (name, key)
