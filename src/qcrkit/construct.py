@@ -22,6 +22,7 @@ import numpy as np
 from . import defaults
 from .registers import DEALER, Subsystem, SystemLayout, _digit_sum_mask, standard_layout
 from .states import QuantumState, _check_cap, _check_unitary, _wrap, apply_controlled, apply_unitary
+from .verify import is_qcr
 
 
 class ShieldSeed:
@@ -158,7 +159,7 @@ def build_example_state() -> QuantumState:
     v = np.zeros(layout.total_dim, dtype=np.complex128).reshape(layout.dims)
     for info, shield in terms:
         v[info[0], shield[0], info[1], shield[1], info[2], shield[2]] = 0.5
-    return QuantumState(layout, vector=v.reshape(-1), validate=False, copy=False)
+    return _wrap(layout, v.reshape(-1))
 
 
 def build_ghz_qcr(
@@ -235,8 +236,6 @@ def build_twisted_qcr(
     the twisted state is a candidate, and callers should trust the verdict,
     not the construction.
     """
-    from .verify import is_qcr
-
     layout = base.layout
     layout.require_crypto_form()
     d = layout.qudit_dim

@@ -1,8 +1,10 @@
 """Versioned JSON state files.
 
-One complex entry per line as a [real, imaginary] pair in row-major order,
-so small fixtures diff cleanly in review. Python's float repr is
-shortest-round-trip, which makes write-then-read bit-exact.
+The entries are the state's complex128 buffer seen as float64 [real,
+imaginary] pairs, one pair per line in row-major order, so small fixtures
+diff cleanly in review. The writer prints each float with its shortest
+round-trip repr and the reader views the parsed pairs back as the complex
+buffer, so write-then-read is bit-exact, signed zeros included.
 """
 from __future__ import annotations
 
@@ -23,27 +25,20 @@ class StateFileError(ValueError):
 
 def state_to_text(state: QuantumState, note: str | None = None) -> str:
     flat = state.vector if state.is_pure else state.matrix.reshape(-1)
-    if not (np.all(np.isfinite(flat.real)) and np.all(np.isfinite(flat.imag))):
+    if not np.isfinite(flat).all():
         raise StateFileError("state contains non-finite entries")
-    lines = ["{", f' "format": {json.dumps(FORMAT)},']
-    if note is not None:
-        lines.append(f' "note": {json.dumps(str(note))},')
-    lines.append(' "layout": [')
+    note_line = [] if note is None else [f' "note": {json.dumps(str(note))},']
     subs = state.layout.to_dict()
-    for i, sub in enumerate(subs):
-        comma = "," if i < len(subs) - 1 else ""
-        lines.append(f"  {json.dumps(sub)}{comma}")
-    lines.append(" ],")
+    layout = [",\n".join(f"  {json.dumps(sub)}" for sub in subs)] if subs else []
     rep = "pure" if state.is_pure else "density"
-    lines.append(f' "representation": {json.dumps(rep)},')
-    lines.append(' "entries": [')
-    last = flat.size - 1
-    for idx, z in enumerate(flat):
-        comma = "," if idx < last else ""
-        lines.append(f"  [{json.dumps(float(z.real))}, {json.dumps(float(z.imag))}]{comma}")
-    lines.append(" ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # repr is what json.dumps writes for a finite float, -0.0 included
+    pairs = zip(flat.real.tolist(), flat.imag.tolist())
+    entries = ",\n".join(f"  [{re!r}, {im!r}]" for re, im in pairs)
+    lines = [
+        "{", f' "format": {json.dumps(FORMAT)},', *note_line, ' "layout": [', *layout, " ],",
+        f' "representation": {json.dumps(rep)},', ' "entries": [', entries, " ]", "}", "",
+    ]
+    return "\n".join(lines)
 
 
 def text_to_state(text: str, cap: int | None = None) -> QuantumState:
@@ -83,7 +78,8 @@ def text_to_state(text: str, cap: int | None = None) -> QuantumState:
         raise StateFileError("entries must be [real, imaginary] number pairs")
     if not np.all(np.isfinite(pairs)):
         raise StateFileError("entries contain non-finite values")
-    data = pairs[:, 0] + 1j * pairs[:, 1]
+    # the checked pairs are the complex buffer itself: exact for every sign
+    data = pairs.astype(np.float64, copy=False).view(np.complex128).reshape(-1)
     try:
         if rep == "pure":
             return QuantumState(layout, vector=data, copy=False)

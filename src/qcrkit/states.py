@@ -128,7 +128,7 @@ class QuantumState:
     def to_density(self) -> QuantumState:
         if self._matrix is not None:
             return self
-        return QuantumState(self.layout, matrix=self.density_matrix(), validate=False, copy=False)
+        return _wrap(self.layout, self.density_matrix())
 
     def purity(self) -> float:
         if self._vector is not None:
@@ -195,9 +195,8 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
     _check_cap(a.dim * b.dim, cap)
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
     if a.is_pure and b.is_pure:
-        return QuantumState(layout, vector=np.kron(a.vector, b.vector), validate=False, copy=False)
-    m = np.kron(a.density_matrix(), b.density_matrix())
-    return QuantumState(layout, matrix=m, validate=False, copy=False)
+        return _wrap(layout, np.kron(a.vector, b.vector))
+    return _wrap(layout, np.kron(a.density_matrix(), b.density_matrix()))
 
 
 def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) -> None:
@@ -294,13 +293,10 @@ def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     new_layout = layout.without(over)
     if state.is_pure and all(layout.dims[p] == 1 for p in pos):
         # dropping dimension-1 registers leaves the flat vector unchanged
-        return QuantumState(new_layout, vector=state.vector, validate=False, copy=False)
+        return _wrap(new_layout, state.vector)
     m, _ = _grouped(layout, state._data, new_layout.labels)
-    if state.is_pure:
-        rho = m @ m.conj().T
-    else:
-        rho = np.trace(m, axis1=1, axis2=3)
-    return QuantumState(new_layout, matrix=rho, validate=False, copy=False)
+    rho = m @ m.conj().T if state.is_pure else np.trace(m, axis1=1, axis2=3)
+    return _wrap(new_layout, rho)
 
 
 def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
@@ -522,7 +518,7 @@ def purify(
     if state.is_pure:
         env = Subsystem(label, ENV_PARTY, "env", 1)
         layout = SystemLayout(state.layout.subsystems + (env,))
-        return QuantumState(layout, vector=state.vector, validate=False, copy=False)
+        return _wrap(layout, state.vector)
     rho = state.matrix
     herm = _max_asymmetry(rho)
     if not herm <= defaults.STATE_TOL:
@@ -534,7 +530,7 @@ def purify(
     logger.debug("purify: dim %d, rank %d, path %s", rho.shape[0], rank, path)
     env = Subsystem(label, ENV_PARTY, "env", rank)
     layout = SystemLayout(state.layout.subsystems + (env,))
-    return QuantumState(layout, vector=amps.reshape(-1), validate=False, copy=False)
+    return _wrap(layout, amps.reshape(-1))
 
 
 def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:

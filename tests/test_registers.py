@@ -43,20 +43,38 @@ def test_index_sets_partition_all_strings(d):
 def test_index_set_membership():
     s = q.index_set(3, 0, 2)
     assert (0, 1, 1) in s
+    assert [0, 1, 1] in s
     assert (0, 0, 1) not in s
+    assert [0, 1] not in s
 
 
 def test_index_set_validation():
-    with pytest.raises(ValueError):
-        q.index_set(0, 0, 2)
-    with pytest.raises(ValueError):
-        q.index_set(2, 0, 1)
-    with pytest.raises(ValueError):
-        q.index_set(2, 2, 2)
-    with pytest.raises(ValueError):
-        q.IndexSet(digits=2, modulus=2, target=0, members=((0, 1),))
-    with pytest.raises(ValueError):
-        q.IndexSet(digits=2, modulus=2, target=0, members=((1, 1), (0, 0)))
+    for digits, target, modulus, match in [
+        (0, 0, 2, "at least one digit"),
+        (2, 0, 1, "modulus must be >= 2"),
+        (2, 2, 2, "target 2 outside Z_2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            q.index_set(digits, target, modulus)
+        with pytest.raises(ValueError, match=match):
+            q.IndexSet(digits=digits, modulus=modulus, target=target, members=())
+    for members, match in [
+        (((0, 0), (1,)), r"member \(1,\) does not have 2 digits"),
+        (((0, 0), (1, 1, 0)), r"member \(1, 1, 0\) does not have 2 digits"),
+        (((0, 0), (2, 0)), r"member \(2, 0\) has digits outside Z_2"),
+        (((0, 0), (-1, 1)), r"member \(-1, 1\) has digits outside Z_2"),
+        (((0, 1),), r"member \(0, 1\) sums to 1, not 0"),
+        (((1, 1), (0, 0)), "sorted and unique"),
+        (((0, 0), (0, 0)), "sorted and unique"),
+        # the first bad member decides, whatever the later ones break
+        (((0, 0), (0, 1), (1,)), r"member \(0, 1\) sums to 1, not 0"),
+        (((0, 0), (1,), (0, 1)), r"member \(1,\) does not have 2 digits"),
+        (((0, 2), (0, 1)), r"member \(0, 2\) has digits outside Z_2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            q.IndexSet(digits=2, modulus=2, target=0, members=members)
+    with pytest.raises(ValueError, match="sorted and unique"):
+        q.IndexSet(digits=3, modulus=2, target=0, members=((1, 0, 1), (1, 1, 0), (1, 0, 1)))
 
 
 def test_digit_sum():

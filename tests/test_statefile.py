@@ -5,11 +5,125 @@ import pytest
 
 import qcrkit as q
 from qcrkit.cli import main
-from qcrkit.statefile import StateFileError
+from qcrkit.registers import SystemLayout
+from qcrkit.statefile import FORMAT, StateFileError
 
 
 def roundtrip(state, note=None):
     return q.text_to_state(q.state_to_text(state, note=note))
+
+
+def per_entry_text(state, note=None):
+    """The writer as it was before the one-join body: a golden-bytes oracle."""
+    flat = state.vector if state.is_pure else state.matrix.reshape(-1)
+    lines = ["{", f' "format": {json.dumps(FORMAT)},']
+    if note is not None:
+        lines.append(f' "note": {json.dumps(str(note))},')
+    lines.append(' "layout": [')
+    subs = state.layout.to_dict()
+    for i, sub in enumerate(subs):
+        comma = "," if i < len(subs) - 1 else ""
+        lines.append(f"  {json.dumps(sub)}{comma}")
+    lines.append(" ],")
+    rep = "pure" if state.is_pure else "density"
+    lines.append(f' "representation": {json.dumps(rep)},')
+    lines.append(' "entries": [')
+    last = flat.size - 1
+    for idx, z in enumerate(flat):
+        comma = "," if idx < last else ""
+        lines.append(f"  [{json.dumps(float(z.real))}, {json.dumps(float(z.imag))}]{comma}")
+    lines.append(" ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1 / 3, -1 / 3, 0.1, 1e22, 1e-7]
+
+
+def edge_state():
+    # unvalidated on purpose: the writer must print any finite float as json.dumps does
+    n = len(EDGE_VALUES)
+    v = np.empty(n * n, dtype=np.complex128)
+    pairs = v.view(np.float64).reshape(-1, 2)
+    pairs[:, 0] = np.repeat(EDGE_VALUES, n)
+    pairs[:, 1] = np.tile(EDGE_VALUES, n)
+    layout = SystemLayout((q.Subsystem("D.info", "D", "info", n), q.Subsystem("A1.info", "A1", "info", n)))
+    return q.QuantumState(layout, vector=v, validate=False)
+
+
+def buffer(state):
+    return state.vector if state.is_pure else state.matrix
+
+
+def signed_zero_states():
+    """A valid vector and density holding -0.0 in both real and imaginary parts."""
+    v = np.array([complex(-0.0, -0.0), complex(0.6, -0.0), complex(-0.0, 0.8), complex(0.0, 0.0)])
+    layout = q.standard_layout(2, 1)
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[0, 0], m[3, 3] = 0.5, 0.5
+    m[0, 3] = m[3, 0] = complex(-0.0, -0.0)
+    m[1, 2] = complex(0.0, -0.0)
+    m[2, 1] = complex(-0.0, 0.0)
+    return q.QuantumState(layout, vector=v), q.QuantumState(layout, matrix=m)
+
+
+def golden_families():
+    rng = np.random.default_rng(9)
+    composite, _ = q.compose(
+        q.random_private_state(2, (2, 2), rng), q.build_example_state(), check=False
+    )
+    base = q.build_ghz_qcr(3, 2, q.ShieldSeed.basis_zero((3, 3, 3)))
+    twisted, _ = q.build_twisted_qcr(base, q.random_party_twist(base.layout, rng))
+    return {
+        "example": q.build_example_state(),
+        "max-ent-2": q.maximally_entangled(2),
+        "max-ent-3": q.maximally_entangled(3),
+        "ghz-2-11": q.build_ghz_qcr(2, 11),
+        "ghz-mixed-sigma": q.build_ghz_qcr(2, 2, q.ShieldSeed.random((2, 2, 2), rng)),
+        "private-random": q.random_private_state(2, (2, 2), rng),
+        "private-pure-seed": q.random_private_state(3, (3, 1), rng, pure_seed=True),
+        "twisted": twisted,
+        "composite-1024": composite,
+        **{f"reduce-branch-{o.digits}": o.state for o in q.reduce(composite, ["A1"], check=False)},
+        "edge-values": edge_state(),
+        "signed-zero-vector": signed_zero_states()[0],
+        "signed-zero-density": signed_zero_states()[1],
+        "empty-layout": q.QuantumState(SystemLayout(()), vector=np.ones(1)),
+    }
+
+
+GOLDEN = golden_families()
+NOTES = [None, 'dealer\'s "key" pair — été 日本 🔑']
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_text_matches_per_entry_writer(name):
+    state = GOLDEN[name]
+    # the per-entry oracle takes seconds at 1024 dims, so that body is checked once
+    notes = NOTES[1:] if state.dim >= 1024 else NOTES
+    for note in notes:
+        assert q.state_to_text(state, note=note) == per_entry_text(state, note=note)
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"edge-values"}))
+def test_written_text_reads_back_bit_exact(name):
+    state = GOLDEN[name]
+    text = q.state_to_text(state, note=NOTES[1])
+    back = q.text_to_state(text)
+    assert back.layout == state.layout and back.is_pure == state.is_pure
+    assert buffer(back).tobytes() == buffer(state).tobytes()
+    assert q.state_to_text(back, note=NOTES[1]) == text
+
+
+def test_signed_zeros_round_trip_bit_exact():
+    for state in signed_zero_states():
+        text = q.state_to_text(state)
+        assert "[-0.0, -0.0]" in text
+        back = q.text_to_state(text)
+        assert buffer(back).tobytes() == buffer(state).tobytes()
+        assert q.state_to_text(back) == text
+    text = q.state_to_text(q.maximally_entangled(2)).replace("[0.0, 0.0]", "[0.0, -0.0]", 1)
+    assert q.state_to_text(q.text_to_state(text)) == text
 
 
 def test_pure_state_roundtrips_bit_exact(example_state):
