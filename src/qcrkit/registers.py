@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,35 +213,22 @@ class IndexSet:
             raise ValueError("digit modulus must be >= 2")
         if not 0 <= self.target < self.modulus:
             raise ValueError(f"target {self.target} outside Z_{self.modulus}")
-        members, d, k = self.members, self.modulus, self.digits
-        # the members before the first one of the wrong length form one array
-        n_ok = next((i for i, m in enumerate(members) if len(m) != k), len(members))
-        arr = np.array(members[:n_ok], dtype=np.int64).reshape(n_ok, k)
-        outside = ((arr < 0) | (arr >= d)).any(axis=1)
-        sums = arr.sum(axis=1) % d
-        bad = outside | (sums != self.target)
-        if bad.any():
-            i = bad.argmax()
-            if outside[i]:
-                raise ValueError(f"member {members[i]} has digits outside Z_{d}")
-            raise ValueError(f"member {members[i]} sums to {sums[i]}, not {self.target}")
-        if n_ok < len(members):
-            raise ValueError(f"member {members[n_ok]} does not have {k} digits")
-        # strictly increasing: each step's first nonzero digit difference is positive
-        step = np.diff(arr, axis=0)
-        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+        for m in self.members:
+            if len(m) != self.digits:
+                raise ValueError(f"member {m} does not have {self.digits} digits")
+            if any(not isinstance(x, Integral) or not 0 <= x < self.modulus for x in m):
+                raise ValueError(f"member {m} has digits outside Z_{self.modulus}")
+            if sum(m) % self.modulus != self.target:
+                raise ValueError(f"member {m} sums to {sum(m) % self.modulus}, not {self.target}")
+        if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be sorted and unique")
 
     @property
     def size(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def _member_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.members)
-
     def __contains__(self, string: Sequence[int]) -> bool:
-        return tuple(string) in self._member_set
+        return tuple(string) in set(self.members)
 
 
 def digit_sum(digits: Sequence[int], modulus: int) -> int:
@@ -258,7 +246,12 @@ def digit_sum(digits: Sequence[int], modulus: int) -> int:
 
 def index_set(digits: int, target: int, modulus: int) -> IndexSet:
     """Enumerate, in lexicographic order, strings in Z_d^k with digit sum t mod d."""
-    IndexSet(digits=digits, modulus=modulus, target=target, members=())  # checks k, d, t first
+    if digits < 1:
+        raise ValueError("need at least one digit")
+    if modulus < 2:
+        raise ValueError("digit modulus must be >= 2")
+    if not 0 <= target < modulus:
+        raise ValueError(f"target {target} outside Z_{modulus}")
     members = tuple(map(tuple, np.argwhere(_digit_sum_mask(digits, target, modulus)).tolist()))
     return IndexSet(digits=digits, modulus=modulus, target=target, members=members)
 

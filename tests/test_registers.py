@@ -70,6 +70,10 @@ def test_index_set_validation():
         (((0, 0), (0, 1), (1,)), r"member \(0, 1\) sums to 1, not 0"),
         (((0, 0), (1,), (0, 1)), r"member \(1,\) does not have 2 digits"),
         (((0, 2), (0, 1)), r"member \(0, 2\) has digits outside Z_2"),
+        # digits must be integers: no huge ints, strings or floats (0.5 + 1.5 sums to 0 mod 2)
+        (((0, 0), (2**63, 0)), r"has digits outside Z_2"),
+        ((("0", "0"),), r"has digits outside Z_2"),
+        (((0.5, 1.5),), r"has digits outside Z_2"),
     ]:
         with pytest.raises(ValueError, match=match):
             q.IndexSet(digits=2, modulus=2, target=0, members=members)
