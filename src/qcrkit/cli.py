@@ -2,8 +2,8 @@
 
 Every command is a thin dispatcher onto the library and produces the same
 numbers a direct call would. Exit codes: 0 success/pass, 1 verification
-failure, 2 informational non-PPT finding, 64 usage or parameter errors,
-65 unreadable or malformed state files.
+failure, 2 informational non-PPT finding, 64 usage or parameter errors
+and unwritable output paths, 65 unreadable or malformed state files.
 
 A JSON config file named by the QCRKIT_CONFIG environment variable supplies
 defaults for tol / cap / seed / report_format; command-line flags win.
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -64,14 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, f"{self.prog}: {message}")
 
 
-@dataclass
-class RunConfig:
-    tol: float | None = None
-    cap: int | None = None
-    seed: int | None = None
-    report: str | None = None
-
-
 _CONFIG_KEYS = {"tol", "cap", "seed", "report_format"}
 
 
@@ -101,20 +92,15 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    doc: dict = {}
+def resolve_config(args: argparse.Namespace) -> None:
+    """Fill tol, cap and seed from the config file where no flag gave them."""
     path = os.environ.get(ENV_CONFIG)
-    if path:
-        doc = _load_config_file(path)
-    tol = args.tol if args.tol is not None else doc.get("tol")
-    cap = args.cap if args.cap is not None else doc.get("cap")
-    seed = args.seed if args.seed is not None else doc.get("seed")
-    return RunConfig(
-        tol=float(tol) if tol is not None else None,
-        cap=cap,
-        seed=seed,
-        report=getattr(args, "report", None),
-    )
+    doc = _load_config_file(path) if path else {}
+    for key in ("tol", "cap", "seed"):
+        if getattr(args, key) is None:
+            setattr(args, key, doc.get(key))
+    if args.tol is not None:
+        args.tol = float(args.tol)
 
 
 def _positive_float(text: str) -> float:
@@ -147,19 +133,19 @@ def _digit_key(digits: Sequence[int], d: int) -> str:
     return sep.join(str(x) for x in digits)
 
 
-def _write_report(cfg: RunConfig, doc: dict) -> None:
-    if cfg.report is None:
+def _write_report(args: argparse.Namespace, doc: dict) -> None:
+    if args.report is None:
         return
     doc = {"format": REPORT_FORMAT, **doc}
-    Path(cfg.report).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(args.report).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _rng_for(cfg: RunConfig, what: str) -> np.random.Generator:
-    if cfg.seed is None:
+def _rng_for(args: argparse.Namespace, what: str) -> np.random.Generator:
+    if args.seed is None:
         raise CliError(
             EXIT_USAGE, f"{what} is randomized; provide --seed or a seed in the config file"
         )
-    return np.random.default_rng(cfg.seed)
+    return np.random.default_rng(args.seed)
 
 
 def _distribution(state: QuantumState, regs: Sequence[str]) -> dict[str, float]:
@@ -189,12 +175,13 @@ def _print_verification(report) -> None:
 # -- commands ----------------------------------------------------------
 
 
-def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     fam = args.family
-    tol = cfg.tol if cfg.tol is not None else defaults.VERIFY_TOL
+    tol = args.tol if args.tol is not None else defaults.VERIFY_TOL
     verification = None
     if fam == "example":
         state = build_example_state()
+        _check_cap(state.dim, args.cap)
     else:
         n = 1 if fam == "private" else args.n
         if args.d is None or n is None:
@@ -203,25 +190,23 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
         dims = args.shield_dims or (args.d if fam == "twisted" else 1,) * (n + 1)
         # the layout checks the shield-dim count; the cap is checked before
         # any seed is drawn or shield density allocated
-        _check_cap(standard_layout(args.d, n, dims).total_dim, cfg.cap)
+        _check_cap(standard_layout(args.d, n, dims).total_dim, args.cap)
         if fam == "ghz":
             if args.random:
-                sigma = ShieldSeed.random(dims, _rng_for(cfg, "a random shield seed"))
+                sigma = ShieldSeed.random(dims, _rng_for(args, "a random shield seed"))
             else:
                 sigma = ShieldSeed.basis_zero(dims)
-            state = build_ghz_qcr(args.d, n, sigma, cap=cfg.cap)
+            state = build_ghz_qcr(args.d, n, sigma, cap=args.cap)
         elif fam == "private":
             if args.random:
-                state = random_private_state(args.d, dims, _rng_for(cfg, "a random private state"))
+                state = random_private_state(args.d, dims, _rng_for(args, "a random private state"))
             else:
-                state = build_private_state(args.d, ShieldSeed.basis_zero(dims), cap=cfg.cap)
-        elif fam == "twisted":
-            rng = _rng_for(cfg, "a twisted construction")
-            base = build_ghz_qcr(args.d, n, ShieldSeed.basis_zero(dims), cap=cfg.cap)
+                state = build_private_state(args.d, ShieldSeed.basis_zero(dims), cap=args.cap)
+        else:  # twisted
+            rng = _rng_for(args, "a twisted construction")
+            base = build_ghz_qcr(args.d, n, ShieldSeed.basis_zero(dims), cap=args.cap)
             twist = random_party_twist(base.layout, rng)
             state, verification = build_twisted_qcr(base, twist, tol=tol)
-        else:  # argparse choices make this unreachable
-            raise CliError(EXIT_USAGE, f"unknown family {fam!r}")
 
     note = f"constructed by qcr construct {fam}"
     write_state(state, args.out, note=note)
@@ -250,24 +235,24 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
         _print_verification(verification)
         if not verification.verdict:
             code = EXIT_VERIFY_FAIL
-    _write_report(cfg, doc)
+    _write_report(args, doc)
     return code
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    state = read_state(args.state, cap=cfg.cap)
-    tol = cfg.tol if cfg.tol is not None else defaults.VERIFY_TOL
+def cmd_verify(args: argparse.Namespace) -> int:
+    state = read_state(args.state, cap=args.cap)
+    tol = args.tol if args.tol is not None else defaults.VERIFY_TOL
     report = is_qcr(state, tol=tol, exhaustive=args.exhaustive)
     print(f"input: {args.state}  (dim {state.dim}, tol {tol:g}"
           + (", exhaustive coalitions)" if args.exhaustive else ")"))
     _print_verification(report)
-    _write_report(cfg, {"command": "verify", "input": str(args.state), **report.to_dict()})
+    _write_report(args, {"command": "verify", "input": str(args.state), **report.to_dict()})
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
 
 
-def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
-    state = read_state(args.state, cap=cfg.cap)
-    tol = cfg.tol if cfg.tol is not None else defaults.PROTOCOL_TOL
+def cmd_reduce(args: argparse.Namespace) -> int:
+    state = read_state(args.state, cap=args.cap)
+    tol = args.tol if args.tol is not None else defaults.PROTOCOL_TOL
     players = state.layout.players
     keep = args.keep
     unknown = set(keep) - set(players)
@@ -292,7 +277,7 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
               f"  correction={'yes' if oc.correction_applied else 'no'}"
               f"  verify={'PASS' if rep.verdict else 'FAIL'}  -> {path}")
         branches_doc.append({**oc.to_dict(), "file": path, "verification": rep.to_dict()})
-    _write_report(cfg, {
+    _write_report(args, {
         "command": "reduce",
         "input": str(args.state),
         "kept": list(keep),
@@ -304,17 +289,17 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
-def cmd_compose(args: argparse.Namespace, cfg: RunConfig) -> int:
-    a = read_state(args.state_a, cap=cfg.cap)
-    b = read_state(args.state_b, cap=cfg.cap)
-    tol = cfg.tol if cfg.tol is not None else defaults.PROTOCOL_TOL
-    merged, record = compose(a, b, check=not args.force, tol=tol, cap=cfg.cap)
+def cmd_compose(args: argparse.Namespace) -> int:
+    a = read_state(args.state_a, cap=args.cap)
+    b = read_state(args.state_b, cap=args.cap)
+    tol = args.tol if args.tol is not None else defaults.PROTOCOL_TOL
+    merged, record = compose(a, b, check=not args.force, tol=tol, cap=args.cap)
     report = is_qcr(merged, tol=tol)
     write_state(merged, args.out, note=f"composed from {args.state_a} and {args.state_b}")
     print(f"wrote {args.out}  (dim {merged.dim}, {merged.layout.n_players} players)")
     print(f"applied {record.unitary_descriptor}")
     _print_verification(report)
-    _write_report(cfg, {
+    _write_report(args, {
         "command": "compose",
         "inputs": [str(args.state_a), str(args.state_b)],
         "out": args.out,
@@ -325,23 +310,29 @@ def cmd_compose(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
 
 
+def _cut(state: QuantumState, side_two: Sequence[str]) -> CutSpec:
+    """side_two against every other non-environment register."""
+    two = set(side_two)
+    one = tuple(
+        s.label for s in state.layout.subsystems if s.kind != "env" and s.label not in two
+    )
+    return CutSpec(side_one=one, side_two=tuple(side_two))
+
+
 def _all_cuts(state: QuantumState) -> list[CutSpec]:
     labels = [s.label for s in state.layout.subsystems if s.kind != "env"]
     if len(labels) < 2:
         raise CliError(EXIT_USAGE, "need at least two non-environment registers to cut")
-    first, rest = labels[0], labels[1:]
-    cuts = []
-    for r in range(1, len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            two = set(combo)
-            one = tuple(l for l in labels if l not in two)
-            cuts.append(CutSpec(side_one=one, side_two=tuple(combo)))
-    return cuts
+    return [
+        _cut(state, two)
+        for r in range(1, len(labels))
+        for two in itertools.combinations(labels[1:], r)
+    ]
 
 
-def cmd_ppt(args: argparse.Namespace, cfg: RunConfig) -> int:
-    state = read_state(args.state, cap=cfg.cap)
-    tol = cfg.tol if cfg.tol is not None else defaults.PPT_TOL
+def cmd_ppt(args: argparse.Namespace) -> int:
+    state = read_state(args.state, cap=args.cap)
+    tol = args.tol if args.tol is not None else defaults.PPT_TOL
     if args.cuts == "dealer":
         report = all_dealer_cuts_ppt(state, tol=tol)
     elif args.cuts == "all":
@@ -350,27 +341,22 @@ def cmd_ppt(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         if not args.side_two:
             raise CliError(EXIT_USAGE, "--cuts explicit needs --side-two LABELS")
-        two = set(args.side_two)
-        one = tuple(
-            s.label for s in state.layout.subsystems if s.kind != "env" and s.label not in two
-        )
-        cut = CutSpec(side_one=one, side_two=tuple(args.side_two))
-        report = PptReport(tol=tol, cuts=(ppt_check(state, cut, tol=tol),))
+        report = PptReport(tol=tol, cuts=(ppt_check(state, _cut(state, args.side_two), tol=tol),))
     print(f"input: {args.state}  (dim {state.dim}, tol {tol:g})")
     for c in report.cuts:
         print(f"  cut [{' '.join(c.side_one)} | {' '.join(c.side_two)}]"
               f"  min eigenvalue {c.min_eigenvalue:.12g}  {'PPT' if c.ppt else 'non-PPT'}")
     print(f"overall: {'all cuts PPT' if report.all_ppt else 'non-PPT cut found'}")
-    _write_report(cfg, {"command": "ppt", "input": str(args.state), **report.to_dict()})
+    _write_report(args, {"command": "ppt", "input": str(args.state), **report.to_dict()})
     return EXIT_OK if report.all_ppt else EXIT_NON_PPT
 
 
-def cmd_distance(args: argparse.Namespace, cfg: RunConfig) -> int:
-    a = read_state(args.state_a, cap=cfg.cap)
-    b = read_state(args.state_b, cap=cfg.cap)
+def cmd_distance(args: argparse.Namespace) -> int:
+    a = read_state(args.state_a, cap=args.cap)
+    b = read_state(args.state_b, cap=args.cap)
     value = trace_distance(a, b)
     print(f"trace distance: {value:.12g}")
-    _write_report(cfg, {
+    _write_report(args, {
         "command": "distance",
         "inputs": [str(args.state_a), str(args.state_b)],
         "value": value,
@@ -378,8 +364,8 @@ def cmd_distance(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args: argparse.Namespace, cfg: RunConfig) -> int:
-    state = read_state(args.state, cap=cfg.cap)
+def cmd_measure(args: argparse.Namespace) -> int:
+    state = read_state(args.state, cap=args.cap)
     layout = state.layout
     if args.registers:
         regs = list(args.registers)
@@ -393,7 +379,7 @@ def cmd_measure(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"measurement on {', '.join(regs)}:")
     for key, p in dist.items():
         print(f"  {key}  {p:.12g}")
-    _write_report(cfg, {
+    _write_report(args, {
         "command": "measure",
         "input": str(args.state),
         "registers": regs,
@@ -487,8 +473,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        return args.func(args, cfg)
+        resolve_config(args)
+        return args.func(args)
     except CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code
@@ -500,6 +486,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VERIFY_FAIL
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:
+        # reads fail as state-file or config errors, so this is an output path
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

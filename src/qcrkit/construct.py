@@ -15,6 +15,7 @@ power-of-two d the downstream measurement statistics are exact dyadics.
 from __future__ import annotations
 
 import itertools
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -95,9 +96,9 @@ class TwistingFamily:
         for key, u in unitaries.items():
             if isinstance(key, int):
                 key = (key,)
-            key = tuple(int(x) for x in key)
-            if any(x < 0 for x in key):
+            if any(not isinstance(x, Integral) or x < 0 for x in key):
                 raise ValueError(f"twist key {key} has negative digits")
+            key = tuple(int(x) for x in key)
             arr = np.array(u, dtype=np.complex128)
             arr.setflags(write=False)
             table[key] = arr

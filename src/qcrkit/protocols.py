@@ -33,7 +33,7 @@ from .states import (
     project_registers,
     tensor_product,
 )
-from .verify import VerificationReport, is_qcr
+from .verify import CoalitionSpec, VerificationReport, is_qcr
 
 
 class InputVerificationError(ValueError):
@@ -150,13 +150,7 @@ def reduce(
     p2 = (dishonest,) if isinstance(dishonest, str) else tuple(dishonest)
     if not p2:
         raise ValueError("need at least one player to measure out")
-    if len(set(p2)) != len(p2):
-        raise ValueError("repeated player in subset")
-    unknown = set(p2) - set(layout.players)
-    if unknown:
-        raise ValueError(f"unknown players: {sorted(unknown)}")
-    if len(p2) >= layout.n_players:
-        raise ValueError("cannot measure out every player; at least one must remain")
+    CoalitionSpec.for_layout(layout, p2)
     if outcome is not None and rng is not None:
         raise ValueError("pass either a fixed outcome or an rng, not both")
     if check:
@@ -164,7 +158,7 @@ def reduce(
     measured = [layout.info_label(p) for p in p2]
     meas_dims = [layout.subsystem(l).dim for l in measured]
     if outcome is not None:
-        want = tuple(int(x) for x in outcome)
+        want = tuple(outcome)
         if len(want) != len(measured):
             raise ValueError(f"outcome needs {len(measured)} digits, got {len(want)}")
         candidates = [want]
@@ -172,9 +166,9 @@ def reduce(
         probs = measurement_distribution(state, measured)
         flat = probs.reshape(-1)
         pick = int(rng.choice(flat.size, p=flat / flat.sum()))
-        candidates = [tuple(int(x) for x in np.unravel_index(pick, probs.shape))]
+        candidates = [np.unravel_index(pick, probs.shape)]
     else:
-        candidates = [digits for digits in _digit_strings(meas_dims)]
+        candidates = itertools.product(*[range(n) for n in meas_dims])
     # the measured info registers are removed by projection; the measured
     # players' shields still need tracing out
     shields = [
@@ -184,7 +178,8 @@ def reduce(
     results = []
     for digits in candidates:
         prob, post = project_registers(state, measured, digits)
-        if prob <= defaults.PROB_FLOOR or post is None:
+        digits = tuple(int(x) for x in digits)
+        if prob <= defaults.PROB_FLOOR:
             if outcome is not None:
                 raise ValueError(f"outcome {digits} has zero probability")
             continue
@@ -204,10 +199,6 @@ def reduce(
             )
         )
     return results
-
-
-def _digit_strings(dims: Sequence[int]):
-    return itertools.product(*[range(n) for n in dims])
 
 
 def _numbered(base: str, k: int) -> str:
@@ -244,8 +235,6 @@ def compose(
         _require_certified(b, tol, "second composition input")
     regs = a.layout.subsystems + b.layout.subsystems
     sides = ((a.layout, 0), (b.layout, len(a.layout)))
-    # each merged register as (its position in kron(a, b), name, party, kind),
-    # in merged order
     a_dealer, b_dealer = (
         [off + lay.position(l) for l in lay.party_labels(DEALER)] for lay, off in sides
     )
@@ -253,29 +242,29 @@ def compose(
     shields = (
         [i for i in a_dealer if i != target] + [control] + [i for i in b_dealer if i != control]
     )
-    merged = [(target, "D.info", DEALER, "info")]
-    merged += [(i, _numbered("D.shield", n), DEALER, "shield") for n, i in enumerate(shields, 1)]
-    k = 0
-    for lay, off in sides:
-        for p in lay.players:
-            k += 1
-            sc = 0
-            for i in (off + lay.position(l) for l in lay.party_labels(p)):
-                if regs[i].kind == "info":
-                    name = f"A{k}.info"
-                else:
-                    sc += 1
-                    name = _numbered(f"A{k}.shield", sc)
-                merged.append((i, name, f"A{k}", regs[i].kind))
-    envs = [off + lay.position(l) for lay, off in sides for l in lay.env_labels]
-    merged += [(i, _numbered("E", n), ENV_PARTY, "env") for n, i in enumerate(envs, 1)]
-
-    layout = SystemLayout(
-        tuple(Subsystem(name, p, kind, regs[i].dim) for i, name, p, kind in merged)
-    )
+    players = [(lay, off, p) for lay, off in sides for p in lay.players]
+    # each merged register as (its position in kron(a, b), party, kind), in
+    # merged order
+    merged = [(target, DEALER, "info")] + [(i, DEALER, "shield") for i in shields]
+    merged += [
+        (off + lay.position(l), f"A{k}", lay.subsystem(l).kind)
+        for k, (lay, off, p) in enumerate(players, 1)
+        for l in lay.party_labels(p)
+    ]
+    merged += [
+        (off + lay.position(l), ENV_PARTY, "env") for lay, off in sides for l in lay.env_labels
+    ]
+    # one naming rule: party.kind, or E for an environment; the second and
+    # later registers under one name are numbered (D.shield, D.shield2, ...)
+    count: dict[str, int] = {}
     names = [""] * len(regs)
-    for i, name, _, _ in merged:
-        names[i] = name
+    for i, party, kind in merged:
+        base = ENV_PARTY if kind == "env" else f"{party}.{kind}"
+        count[base] = count.get(base, 0) + 1
+        names[i] = _numbered(base, count[base])
+    layout = SystemLayout(
+        tuple(Subsystem(names[i], party, kind, regs[i].dim) for i, party, kind in merged)
+    )
     n_a = len(a.layout)
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))

@@ -237,10 +237,9 @@ def digit_sum(digits: Sequence[int], modulus: int) -> int:
         raise ValueError("digit modulus must be >= 2")
     total = 0
     for x in digits:
-        x = int(x)
-        if not 0 <= x < modulus:
+        if not isinstance(x, Integral) or not 0 <= x < modulus:
             raise ValueError(f"digit {x} outside Z_{modulus}")
-        total += x
+        total += int(x)
     return total % modulus
 
 

@@ -95,6 +95,6 @@ def write_state(state: QuantumState, path: str | Path, note: str | None = None) 
 def read_state(path: str | Path, cap: int | None = None) -> QuantumState:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise StateFileError(f"cannot read {path}: {e}") from None
     return text_to_state(text, cap=cap)

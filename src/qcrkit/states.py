@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import logging
 from math import prod
+from numbers import Integral
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -166,11 +167,11 @@ class QuantumState:
     @classmethod
     def basis_state(cls, layout: SystemLayout, digits: Sequence[int]) -> QuantumState:
         """Computational basis ket |digits> in layout order."""
-        digits = tuple(int(x) for x in digits)
+        digits = tuple(digits)
         if len(digits) != len(layout):
             raise ValueError(f"need {len(layout)} digits, got {len(digits)}")
         for x, sub in zip(digits, layout.subsystems):
-            if not 0 <= x < sub.dim:
+            if not isinstance(x, Integral) or not 0 <= x < sub.dim:
                 raise ValueError(f"digit {x} out of range for register {sub.label!r} (dim {sub.dim})")
         v = np.zeros(layout.total_dim, dtype=np.complex128)
         v[int(np.ravel_multi_index(digits, layout.dims))] = 1.0
@@ -319,14 +320,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def _hermitian_trace_norm(h: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: the sum of |eigenvalues|.
-
-    Only the lower triangle of h is read.
-    """
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
-
-
 def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Eigenvalues of a Hermitian matrix, ascending, found block by block.
 
@@ -417,7 +410,8 @@ def _gram_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
     if _gram_side(n, ka + b.shape[1]) == "qr":
         r = np.linalg.qr(np.concatenate((a, b), axis=1), mode="r")
         a, b = r[:, :ka], r[:, ka:]
-    return _hermitian_trace_norm(a @ a.conj().T - b @ b.conj().T)
+    # trace norm of the Hermitian difference; eigvalsh reads only its lower triangle
+    return float(np.abs(np.linalg.eigvalsh(a @ a.conj().T - b @ b.conj().T)).sum())
 
 
 def measurement_distribution(state: QuantumState, on: Sequence[str]) -> np.ndarray:
@@ -479,14 +473,14 @@ def project_registers(
     on = list(on)
     if not on:
         raise ValueError("need at least one register to project")
-    digits = tuple(int(x) for x in digits)
+    digits = tuple(digits)
     if len(digits) != len(on):
         raise ValueError(f"need {len(on)} digits, got {len(digits)}")
     layout = state.layout
     k = 0
     for label, x in zip(on, digits):
         d = layout.subsystem(label).dim
-        if not 0 <= x < d:
+        if not isinstance(x, Integral) or not 0 <= x < d:
             raise ValueError(f"digit {x} out of range for register {label!r} (dim {d})")
         k = k * d + x
     w, _ = _grouped(layout, state._data, on)
@@ -641,9 +635,9 @@ def _apply_blocks(
     t_dim = prod(layout.subsystem(l).dim for l in target)
     checked: dict[tuple[int, ...], np.ndarray] = {}
     for key, b in blocks.items():
-        key = tuple(int(x) for x in key)
+        key = tuple(key)
         if len(key) != len(control) or any(
-            not 0 <= x < d for x, d in zip(key, c_dims)
+            not isinstance(x, Integral) or not 0 <= x < d for x, d in zip(key, c_dims)
         ):
             raise ValueError(f"control key {key} out of range for dims {c_dims}")
         checked[key] = _check_unitary(b, t_dim, unitary_tol)

@@ -158,7 +158,6 @@ class VerificationReport:
 def check_condition_i(state: QuantumState, tol: float = defaults.VERIFY_TOL) -> ConditionIReport:
     """Uniform perfect correlation of the info-register measurement."""
     layout = state.layout
-    layout.require_crypto_form()
     d = layout.qudit_dim
     info = layout.info_labels
     probs = measurement_distribution(state, info)

@@ -366,13 +366,50 @@ def test_config_missing_file(monkeypatch, example_file):
     assert main(["verify", example_file]) == 64
 
 
-def test_module_entry_point(example_file):
-    # the child imports the same qcrkit as this process, installed or not
+def run_qcr(*argv):
+    """Run ``python -m qcrkit`` in a child that imports the same qcrkit, installed or not."""
     src = str(Path(q.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcrkit", "verify", example_file],
+    return subprocess.run(
+        [sys.executable, "-m", "qcrkit", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(example_file):
+    proc = run_qcr("verify", example_file)
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout
+
+
+# each row: argv ({ex} is a valid state file, {tmp} a fresh directory),
+# exit code, and text the one stderr line must hold
+_CONSTRUCT = ["construct", "--out", "{tmp}/o.json"]
+
+
+@pytest.mark.parametrize("argv,code,says", [
+    pytest.param(["verify", "{tmp}/absent.json"], 65, "absent.json", id="missing-file"),
+    pytest.param(["verify", "{tmp}/junk.json"], 65, "not valid JSON", id="malformed"),
+    pytest.param(["verify", "{tmp}/utf16.json"], 65, "utf16.json", id="non-utf8"),
+    pytest.param(["construct", "example", "--out", "{tmp}/no/x.json"], 64, "no/x.json",
+                 id="unwritable-out"),
+    pytest.param(["verify", "{ex}", "--report", "{tmp}/no/r.json"], 64, "no/r.json",
+                 id="unwritable-report"),
+    pytest.param(_CONSTRUCT + ["example", "--cap", "8"], 64, "exceeds cap 8",
+                 id="over-cap-example"),
+    pytest.param(_CONSTRUCT + ["private", "--d", "2", "--cap", "2"], 64, "exceeds cap 2",
+                 id="over-cap-private"),
+    pytest.param(_CONSTRUCT + ["ghz", "--d", "2", "--n", "2", "--cap", "4"], 64,
+                 "exceeds cap 4", id="over-cap-ghz"),
+    pytest.param(_CONSTRUCT + ["twisted", "--d", "2", "--n", "2", "--seed", "1", "--cap", "8"],
+                 64, "exceeds cap 8", id="over-cap-twisted"),
+    pytest.param(["verify", "{ex}", "--frob"], 64, "--frob", id="bad-flag"),
+])
+def test_exit_codes(tmp_path, example_file, argv, code, says):
+    (tmp_path / "junk.json").write_text("junk {", encoding="utf-8")
+    (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))  # begins ff fe
+    proc = run_qcr(*(a.format(ex=example_file, tmp=tmp_path) for a in argv))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and says in proc.stderr
+    assert not (tmp_path / "o.json").exists()

@@ -341,6 +341,8 @@ def test_twisting_family_key_normalization():
     assert fam.keys() == {(0,), (1,)}
     with pytest.raises(ValueError):
         q.TwistingFamily({(-1,): np.eye(2)})
+    with pytest.raises(ValueError):
+        q.TwistingFamily({(1.2,): np.eye(2)})
 
 
 def test_relabel_negated_player():

@@ -152,6 +152,8 @@ def test_reduce_rejects_bad_subsets(example_state):
         q.reduce(example_state, ["A1", "A1"])
     with pytest.raises(ValueError):
         q.reduce(example_state, ["A1"], outcome=(0,), rng=np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        q.reduce(example_state, ["A1"], outcome=(0.7,))
 
 
 def test_reduce_rejects_uncertified_input():

@@ -89,6 +89,8 @@ def test_digit_sum():
         q.digit_sum((0, 2), 2)
     with pytest.raises(ValueError):
         q.digit_sum((0, 1), 1)
+    with pytest.raises(ValueError):
+        q.digit_sum((0.5, 1.5), 2)
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (3, 4)])

@@ -84,6 +84,10 @@ def test_basis_state_digits():
         q.QuantumState.basis_state(layout, (2, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         q.QuantumState.basis_state(layout, (0, 0))
+    with pytest.raises(ValueError):
+        q.QuantumState.basis_state(layout, (1.9, 0, 1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        q.QuantumState.basis_state(layout, (1, 0, "1", 0, 0, 0))
 
 
 def test_permuted_round_trip():
@@ -429,6 +433,8 @@ def test_project_registers_validation():
     with pytest.raises(ValueError):
         q.project_registers(s, ["D.info"], (5,))
     with pytest.raises(ValueError):
+        q.project_registers(s, ["D.info"], (1.5,))
+    with pytest.raises(ValueError):
         q.project_registers(s, [], ())
 
 
@@ -561,5 +567,7 @@ def test_apply_controlled_validation():
         q.apply_controlled(s, ["D.info"], ["D.info"], {})
     with pytest.raises(ValueError):
         q.apply_controlled(s, ["D.info"], ["D.shield"], {(3,): np.eye(2)})
+    with pytest.raises(ValueError):
+        q.apply_controlled(s, ["D.info"], ["D.shield"], {(1.2,): np.eye(2)})
     with pytest.raises(ValueError):
         q.apply_controlled(s, ["D.info"], ["D.shield"], {(0,): np.ones((2, 2))})
