@@ -69,7 +69,7 @@ _CONFIG_KEYS = {"tol", "cap", "seed", "report_format"}
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(EXIT_USAGE, f"cannot read config file {path}: {e}")
     try:
         doc = json.loads(text)

@@ -96,7 +96,9 @@ class TwistingFamily:
         for key, u in unitaries.items():
             if isinstance(key, int):
                 key = (key,)
-            if any(not isinstance(x, Integral) or x < 0 for x in key):
+            if not all(isinstance(x, Integral) for x in key):
+                raise ValueError(f"twist key {key} has digits that are not integers")
+            if any(x < 0 for x in key):
                 raise ValueError(f"twist key {key} has negative digits")
             key = tuple(int(x) for x in key)
             arr = np.array(u, dtype=np.complex128)

@@ -361,6 +361,14 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch, example_file):
         assert main(["verify", example_file]) == 64
 
 
+def test_config_that_is_not_utf8_names_the_file(tmp_path, monkeypatch, capsys, example_file):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe")
+    monkeypatch.setenv("QCRKIT_CONFIG", str(path))
+    assert main(["verify", example_file]) == 64
+    assert f"cannot read config file {path}: " in capsys.readouterr().err
+
+
 def test_config_missing_file(monkeypatch, example_file):
     monkeypatch.setenv("QCRKIT_CONFIG", "/nonexistent/config.json")
     assert main(["verify", example_file]) == 64

@@ -339,10 +339,12 @@ def test_per_party_twist_factorizes():
 def test_twisting_family_key_normalization():
     fam = q.TwistingFamily({1: np.eye(2), (0,): X})
     assert fam.keys() == {(0,), (1,)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has negative digits"):
         q.TwistingFamily({(-1,): np.eye(2)})
-    with pytest.raises(ValueError):
-        q.TwistingFamily({(1.2,): np.eye(2)})
+    for key in [(1.2,), (0, 0.5), ("1",), (-1.5,)]:
+        with pytest.raises(ValueError, match="has digits that are not integers"):
+            q.TwistingFamily({key: np.eye(2)})
+    assert q.TwistingFamily({(np.int64(1), 0): np.eye(2)}).keys() == {(1, 0)}
 
 
 def test_relabel_negated_player():

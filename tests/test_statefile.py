@@ -6,7 +6,8 @@ import pytest
 import qcrkit as q
 from qcrkit.cli import main
 from qcrkit.registers import SystemLayout
-from qcrkit.statefile import FORMAT, StateFileError
+from qcrkit import statefile
+from qcrkit.statefile import CHUNK, FORMAT, StateFileError
 
 
 def roundtrip(state, note=None):
@@ -261,6 +262,7 @@ def test_malformed_documents_are_rejected():
 
 @pytest.mark.parametrize("entry", [
     ["0.5", "0"], ["0.5", 0.0], [None, 0.0], [True, False], [{"re": 0.5}, 0.0],
+    [False, False], [True, 0.0], [0.0, None], [None, None],
 ])
 def test_entries_must_be_json_numbers(entry, tmp_path, capsys, monkeypatch):
     # "0.5" would pass a float64 conversion; a state file holds numbers only
@@ -273,6 +275,18 @@ def test_entries_must_be_json_numbers(entry, tmp_path, capsys, monkeypatch):
     path.write_text(dumps(doc))
     assert main(["verify", str(path)]) == 65
     assert "state file error" in capsys.readouterr().err
+    # one bad entry among numbers: np.array alone would read booleans as 0 and 1
+    ghz = q.state_to_text(q.build_ghz_qcr(2, 2).to_density()).replace("[0.0, 0.0]", json.dumps(entry), 1)
+    composite, _ = q.compose(q.maximally_entangled(2), q.build_example_state(), check=False)
+    text = q.state_to_text(composite.to_density())
+    assert text.count("\n") > 2**16
+    # the 256-dim copy is in the writer's shape, so its one chunk meets the bad line
+    for copy in (ghz, json.dumps(json.loads(ghz)), text.replace("[0.0, 0.0]", json.dumps(entry), 1)):
+        with pytest.raises(StateFileError, match="number pairs"):
+            q.text_to_state(copy)
+        path.write_text(copy)
+        assert main(["verify", str(path)]) == 65
+        assert "state file error" in capsys.readouterr().err
 
 
 def test_string_entries_with_valid_values_are_rejected():
@@ -316,3 +330,187 @@ def test_dimension_cap_is_enforced_before_parsing_entries():
 
 def test_error_type_is_a_value_error():
     assert issubclass(StateFileError, ValueError)
+
+
+# -- the chunked reader against the whole-document path -----------------------
+
+
+@pytest.fixture()
+def loads_sizes(monkeypatch):
+    """The length of the text each json.loads call in qcrkit.statefile receives."""
+    sizes = []
+    loads = statefile.json.loads
+
+    def spy(text, *args, **kwargs):
+        sizes.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(statefile.json, "loads", spy)
+    return sizes
+
+
+def whole_document_pairs(text):
+    """The entries as json.loads reads the whole document, viewed as complex128."""
+    return np.array(json.loads(text)["entries"], dtype=np.float64).view(np.complex128).reshape(-1)
+
+
+def read_or_message(text):
+    try:
+        return q.text_to_state(text)
+    except StateFileError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_chunked_read_equals_whole_document_read(golden, name, loads_sizes):
+    state = golden[name]
+    text = q.state_to_text(state, note=NOTES[1])
+    doc = json.loads(text)
+    loads_sizes.clear()
+    back = read_or_message(text)
+    # the writer's shape never reaches a whole-document json.loads
+    assert max(loads_sizes) < len(text)
+    # re-encoding a million entries takes seconds; the general path is one code at every size
+    copies = [json.dumps(doc), json.dumps(doc, indent=2)] if len(doc["entries"]) <= CHUNK else []
+    if name == "edge-values":
+        # not a valid state: every path gives the same message
+        assert back == read_or_message(copies[0]) == read_or_message(copies[1])
+        assert back.startswith("entries do not form a valid state")
+        return
+    assert buffer(back).reshape(-1).tobytes() == whole_document_pairs(text).tobytes()
+    for copy in copies:
+        loads_sizes.clear()
+        again = q.text_to_state(copy)
+        assert len(copy) in loads_sizes
+        assert again.layout == back.layout and again.is_pure == back.is_pure
+        assert buffer(again).tobytes() == buffer(back).tobytes()
+
+
+def chunked_state(values):
+    """An unvalidated pure state on one register holding ``values`` as its entries."""
+    v = np.asarray(values, dtype=np.complex128)
+    layout = SystemLayout((q.Subsystem("D.info", "D", "info", len(v)),))
+    return q.QuantumState(layout, vector=v, validate=False)
+
+
+def normalised(values):
+    v = np.array(values, dtype=np.complex128)
+    # scale the float pairs: complex division may drop the sign of a zero
+    v.view(np.float64)[:] *= 1 / np.linalg.norm(v)
+    return v
+
+
+def unit_vector_with(n, head, repeat=None):
+    """n entries: ``head`` first, then the cycled ``repeat`` values (default: distinct), normalised."""
+    rng = np.random.default_rng(n)
+    rest = n - len(head)
+    tail = rng.standard_normal(rest) + 1j * rng.standard_normal(rest) if repeat is None else np.resize(repeat, rest)
+    return normalised(np.concatenate([np.asarray(head, dtype=np.complex128), tail]))
+
+
+def assert_round_trip(v, loads_sizes):
+    state = chunked_state(v)
+    text = q.state_to_text(state)
+    loads_sizes.clear()
+    back = q.text_to_state(text, cap=len(v))
+    assert max(loads_sizes) < len(text)
+    assert back.vector.tobytes() == state.vector.tobytes()
+    return text
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_bodies_at_the_chunk_edge_read_bit_exact(n, loads_sizes):
+    # every line distinct, so each chunk's gather is a plain copy
+    assert_round_trip(unit_vector_with(n, []), loads_sizes)
+    # repeated lines that straddle the chunk edge
+    repeat = [0.25, 0.25j, complex(-0.0, 0.0), 0.0]
+    text = assert_round_trip(unit_vector_with(n, [0.5], repeat=repeat), loads_sizes)
+    assert text.count("\n  [-0.0, 0.0]") == sum(1 for i in range(n - 1) if i % 4 == 2)
+
+
+def test_chunks_that_share_no_line(loads_sizes):
+    first = np.resize([0.5, 0.5j, complex(0.0, -0.0)], CHUNK)
+    second = np.resize([0.25, -0.25j, complex(-0.0, 0.0), complex(-0.0, -0.0)], CHUNK)
+    v = normalised(np.concatenate([first, second]))
+    text = assert_round_trip(v, loads_sizes)
+    lines = text.split("\n")
+    body = lines[lines.index(' "entries": [') + 1:-3]
+    assert not set(body[:CHUNK]) & set(body[CHUNK:])
+
+
+def test_signed_zeros_in_one_chunk_and_across_chunks(loads_sizes):
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    one_chunk = np.array([1.0, *zeros, *zeros], dtype=np.complex128)
+    across = np.zeros(CHUNK + 8, dtype=np.complex128)
+    across[0] = 1.0
+    across[1:5] = zeros[1:] + [zeros[0]]
+    across[CHUNK:CHUNK + 4] = zeros
+    across[-1] = complex(-0.0, -0.0)
+    for v in (one_chunk, across):
+        text = assert_round_trip(v, loads_sizes)
+        assert text == per_entry_text(chunked_state(v))
+        assert "\n  [-0.0, 0.0]," in text and "\n  [0.0, -0.0]," in text and "\n  [-0.0, -0.0]\n" in text
+
+
+def test_over_cap_file_is_rejected_from_its_head(golden, loads_sizes, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCRKIT_CONFIG", raising=False)
+    text = q.state_to_text(golden["composite-1024"])
+    head = len(text[:text.index('"entries"')])
+    loads_sizes.clear()
+    with pytest.raises(StateFileError, match="state dimension 1024 exceeds cap 512"):
+        q.text_to_state(text, cap=512)
+    assert loads_sizes and max(loads_sizes) <= head
+    path = tmp_path / "composite.json"
+    path.write_text(text)
+    assert main(["verify", "--cap", "512", str(path)]) == 65
+    assert "exceeds cap 512" in capsys.readouterr().err
+
+
+def test_truncated_or_trailing_text_keeps_its_message(golden, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QCRKIT_CONFIG", raising=False)
+    text = q.state_to_text(golden["ghz-2-11"])
+    at = text.index('"entries"')
+    bad = [
+        text[:at + 40], text[:len(text) // 2], text[:-3], text[:-2] + "\n",
+        text + "x", text + "}\n", text + "\n ]\n}\n",
+    ]
+    path = tmp_path / "bad.json"
+    for copy in bad:
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(copy)
+        with pytest.raises(StateFileError) as got:
+            q.text_to_state(copy)
+        assert str(got.value) == f"not valid JSON: {want.value}"
+        path.write_text(copy)
+        assert main(["verify", str(path)]) == 65
+        assert "state file error: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"qcr-state/1"', '"qcr-state/2"'), ('"density"', '"stabilizer"'), ('"kind": "info"', '"kind": "mystery"'),
+    ('"dim": 2', '"dim": 2.5'), ("  [0.5, 0.0]", "  [0.5, 0.0, 0.0]"), ("  [0.5, 0.0]", "  [NaN, 0.0]"),
+    ("  [0.5, 0.0]", "  [0.0, 0.0]"), ("  [0.5, 0.0]", '  ["0.5", 0.0]'), ("  [0.0, 0.0],\n", ""),
+    ("  [0.0, 0.0],\n", "  [0.0, 0.0],\n  [0.0, 0.0],\n"), ("  [0.0, 0.0],\n", "  [0.0, 0.0], [0.0, 0.0],\n"),
+])
+def test_canonical_and_general_paths_give_one_message(old, new, max_ent):
+    text = q.state_to_text(max_ent.to_density())
+    assert old in text
+    bad = text.replace(old, new, 1)
+    with pytest.raises(StateFileError) as fast:
+        q.text_to_state(bad)
+    with pytest.raises(StateFileError) as general:
+        q.text_to_state(json.dumps(json.loads(bad)))
+    assert str(fast.value) == str(general.value)
+
+
+def test_lines_that_split_a_pair_are_not_read_as_pairs(max_ent):
+    # the distinct lines alone parse as four pairs, but the body they repeat in is not JSON
+    lines = q.state_to_text(max_ent.to_density()).split("\n")
+    head = lines.index(' "entries": [') + 1
+    lines[head + 1], lines[head + 2], lines[head + 4] = "  [0.0, 0.0], [0.0,", "  0.0],", "  0.0],"
+    bad = "\n".join(lines)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(bad)
+    with pytest.raises(StateFileError) as got:
+        q.text_to_state(bad)
+    assert str(got.value) == f"not valid JSON: {want.value}"
