@@ -310,38 +310,30 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
 
 
-def _cut(state: QuantumState, side_two: Sequence[str]) -> CutSpec:
-    """side_two against every other non-environment register."""
-    two = set(side_two)
-    one = tuple(
-        s.label for s in state.layout.subsystems if s.kind != "env" and s.label not in two
-    )
-    return CutSpec(side_one=one, side_two=tuple(side_two))
-
-
 def _all_cuts(state: QuantumState) -> list[CutSpec]:
-    labels = [s.label for s in state.layout.subsystems if s.kind != "env"]
+    labels = state.layout.non_env_labels
     if len(labels) < 2:
         raise CliError(EXIT_USAGE, "need at least two non-environment registers to cut")
     return [
-        _cut(state, two)
+        CutSpec.from_side_two(state.layout, two)
         for r in range(1, len(labels))
         for two in itertools.combinations(labels[1:], r)
     ]
 
 
 def cmd_ppt(args: argparse.Namespace) -> int:
+    if args.side_two is not None and args.cuts != "explicit":
+        raise CliError(EXIT_USAGE, "--side-two needs --cuts explicit")
     state = read_state(args.state, cap=args.cap)
     tol = args.tol if args.tol is not None else defaults.PPT_TOL
     if args.cuts == "dealer":
         report = all_dealer_cuts_ppt(state, tol=tol)
-    elif args.cuts == "all":
-        results = tuple(ppt_check(state, cut, tol=tol) for cut in _all_cuts(state))
-        report = PptReport(tol=tol, cuts=results)
     else:
-        if not args.side_two:
+        if args.cuts == "explicit" and not args.side_two:
             raise CliError(EXIT_USAGE, "--cuts explicit needs --side-two LABELS")
-        report = PptReport(tol=tol, cuts=(ppt_check(state, _cut(state, args.side_two), tol=tol),))
+        cuts = (_all_cuts(state) if args.cuts == "all"
+                else [CutSpec.from_side_two(state.layout, args.side_two)])
+        report = PptReport(tol=tol, cuts=tuple(ppt_check(state, c, tol=tol) for c in cuts))
     print(f"input: {args.state}  (dim {state.dim}, tol {tol:g})")
     for c in report.cuts:
         print(f"  cut [{' '.join(c.side_one)} | {' '.join(c.side_two)}]"

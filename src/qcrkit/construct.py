@@ -15,13 +15,15 @@ power-of-two d the downstream measurement statistics are exact dyadics.
 from __future__ import annotations
 
 import itertools
-from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, Subsystem, SystemLayout, _digit_sum_mask, standard_layout
+from .registers import (
+    DEALER, SystemLayout, _digit_sum_mask, is_integer_in, labeled_layout, standard_layout,
+    standard_parties,
+)
 from .states import QuantumState, _check_cap, _check_unitary, _wrap, apply_controlled, apply_unitary
 from .verify import is_qcr
 
@@ -36,13 +38,8 @@ class ShieldSeed:
         vector: np.ndarray | None = None,
         matrix: np.ndarray | None = None,
     ) -> None:
-        self.dims = tuple(int(x) for x in dims)
-        if not self.dims:
-            raise ValueError("need at least one shield dimension")
-        parties = (DEALER,) + tuple(f"A{k}" for k in range(1, len(self.dims)))
-        layout = SystemLayout(tuple(
-            Subsystem(f"{p}.shield", p, "shield", d) for p, d in zip(parties, self.dims)
-        ))
+        layout = _shield_layout(dims)
+        self.dims = layout.dims
         state = QuantumState(layout, vector=vector, matrix=matrix)
         self.vector: np.ndarray | None = state.vector if state.is_pure else None
         self.matrix: np.ndarray | None = None if state.is_pure else state.matrix
@@ -64,7 +61,7 @@ class ShieldSeed:
 
     @classmethod
     def basis_zero(cls, dims: Sequence[int]) -> ShieldSeed:
-        v = np.zeros(int(np.prod([int(x) for x in dims])), dtype=np.complex128)
+        v = np.zeros(_shield_layout(dims).total_dim, dtype=np.complex128)
         v[0] = 1.0
         return cls(dims, vector=v)
 
@@ -72,16 +69,26 @@ class ShieldSeed:
     def random(
         cls, dims: Sequence[int], rng: np.random.Generator, pure: bool = False
     ) -> ShieldSeed:
-        total = int(np.prod([int(x) for x in dims]))
+        total = _shield_layout(dims).total_dim
         if pure:
             return cls(dims, vector=random_pure(total, rng))
         return cls(dims, matrix=random_density(total, rng))
 
 
+def _shield_layout(dims: Sequence[int]) -> SystemLayout:
+    """The shield registers of standard_layout, dealer's first, with these dims."""
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("need at least one shield dimension")
+    return labeled_layout(
+        (party, "shield", d) for party, d in zip(standard_parties(len(dims) - 1), dims)
+    )
+
+
 class TwistingFamily:
     """Digit-keyed unitaries applied to shield registers.
 
-    Keys are digit tuples (a bare int is accepted for single-digit keys):
+    Keys are digit tuples (a bare digit is accepted for single-digit keys):
     the dealer digit for private states, the full info string for
     controlled twists. targets names the shield registers the unitaries act
     on; None means every shield register of the state being built.
@@ -94,11 +101,11 @@ class TwistingFamily:
     ) -> None:
         table: dict[tuple[int, ...], np.ndarray] = {}
         for key, u in unitaries.items():
-            if isinstance(key, int):
+            if not isinstance(key, tuple):
                 key = (key,)
-            if not all(isinstance(x, Integral) for x in key):
+            if not all(is_integer_in(x) for x in key):
                 raise ValueError(f"twist key {key} has digits that are not integers")
-            if any(x < 0 for x in key):
+            if not all(is_integer_in(x, 0) for x in key):
                 raise ValueError(f"twist key {key} has negative digits")
             key = tuple(int(x) for x in key)
             arr = np.array(u, dtype=np.complex128)
@@ -245,7 +252,7 @@ def build_twisted_qcr(
     n_info = len(layout.info_labels)
     support = _digit_sum_mask(n_info, 0, d)
     for key in twist.keys():
-        if len(key) != n_info or any(x >= d for x in key):
+        if len(key) != n_info or not all(is_integer_in(x, 0, d) for x in key):
             raise ValueError(f"twist key {key} is not a length-{n_info} string over Z_{d}")
         if not support[key]:
             raise ValueError(f"twist key {key} lies outside the digit-sum-0 support")

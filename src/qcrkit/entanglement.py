@@ -51,7 +51,7 @@ class CutSpec:
             raise ValueError("both cut sides must be nonempty")
         if one & two:
             raise ValueError(f"cut sides overlap: {sorted(one & two)}")
-        non_env = {s.label for s in layout.subsystems if s.kind != "env"}
+        non_env = set(layout.non_env_labels)
         if one | two != non_env:
             missing = non_env - (one | two)
             extra = (one | two) - non_env
@@ -63,21 +63,21 @@ class CutSpec:
             raise ValueError("invalid cut: " + "; ".join(parts))
 
     @classmethod
+    def from_side_two(cls, layout: SystemLayout, side_two: Sequence[str]) -> CutSpec:
+        """side_two as given against every other non-environment register, in layout order."""
+        two = set(side_two)
+        side_one = tuple(l for l in layout.non_env_labels if l not in two)
+        return cls(side_one=side_one, side_two=tuple(side_two))
+
+    @classmethod
     def dealer_cut(cls, layout: SystemLayout, players_two: Sequence[str]) -> CutSpec:
         """Dealer plus remaining players on side one; the named players on side two."""
         two_set = set(players_two)
         unknown = two_set - set(layout.players)
         if unknown:
             raise ValueError(f"unknown players: {sorted(unknown)}")
-        side_two = tuple(
-            s.label for s in layout.subsystems if s.kind != "env" and s.party in two_set
-        )
-        side_one = tuple(
-            s.label
-            for s in layout.subsystems
-            if s.kind != "env" and s.party not in two_set
-        )
-        return cls(side_one=side_one, side_two=side_two)
+        side_two = [s.label for s in layout.subsystems if s.kind != "env" and s.party in two_set]
+        return cls.from_side_two(layout, side_two)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, ENV_PARTY, Subsystem, SystemLayout, digit_sum
+from .registers import DEALER, ENV_PARTY, SystemLayout, digit_sum, labeled_layout, standard_parties
 from .states import (
     QuantumState,
     _grouped,
@@ -201,10 +201,6 @@ def reduce(
     return results
 
 
-def _numbered(base: str, k: int) -> str:
-    return base if k == 1 else f"{base}{k}"
-
-
 def compose(
     a: QuantumState,
     b: QuantumState,
@@ -247,24 +243,16 @@ def compose(
     # merged order
     merged = [(target, DEALER, "info")] + [(i, DEALER, "shield") for i in shields]
     merged += [
-        (off + lay.position(l), f"A{k}", lay.subsystem(l).kind)
-        for k, (lay, off, p) in enumerate(players, 1)
+        (off + lay.position(l), name, lay.subsystem(l).kind)
+        for name, (lay, off, p) in zip(standard_parties(len(players))[1:], players)
         for l in lay.party_labels(p)
     ]
     merged += [
         (off + lay.position(l), ENV_PARTY, "env") for lay, off in sides for l in lay.env_labels
     ]
-    # one naming rule: party.kind, or E for an environment; the second and
-    # later registers under one name are numbered (D.shield, D.shield2, ...)
-    count: dict[str, int] = {}
-    names = [""] * len(regs)
-    for i, party, kind in merged:
-        base = ENV_PARTY if kind == "env" else f"{party}.{kind}"
-        count[base] = count.get(base, 0) + 1
-        names[i] = _numbered(base, count[base])
-    layout = SystemLayout(
-        tuple(Subsystem(names[i], party, kind, regs[i].dim) for i, party, kind in merged)
-    )
+    layout = labeled_layout((party, kind, regs[i].dim) for i, party, kind in merged)
+    # each register's new label, in kron(a, b) order
+    names = [l for _, l in sorted(zip((i for i, _, _ in merged), layout.labels))]
     n_a = len(a.layout)
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
@@ -286,7 +274,7 @@ def compose(
         layout_a=a.layout,
         layout_b=b.layout,
         layout=layout,
-        cx_target="D.info",
+        cx_target=names[target],
         cx_control=names[control],
         relabel_a=relabel_a,
         relabel_b=relabel_b,

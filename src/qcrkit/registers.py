@@ -6,21 +6,34 @@ shield registers; each player holds one info register and optional shields;
 purifying environments are registers of kind "env". Layout order fixes the
 tensor order of every array in the package.
 
-The support, the digit strings that sum to t mod d, has one definition:
+Each layout rule has one home here. Names: ``labeled_layout`` labels a
+register party.kind, or E for an environment, and ``_numbered`` numbers the
+second and later under one name (D.shield2, E2); players are A1..An
+(``standard_parties``). Cuts: ``SystemLayout.non_env_labels`` is what a cut
+covers, and ``entanglement.CutSpec.from_side_two`` takes side one as its
+complement. Digits and dimensions: ``is_integer_in`` is the one
+integer-and-range test. The support, the digit strings that sum to t mod d:
 ``_digit_sum_mask``, read by ``index_set``, the verifier and the builders.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf, prod
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 DEALER = "D"
 ENV_PARTY = "E"
 KINDS = ("info", "shield", "env")
+
+
+def is_integer_in(x: object, lo: float = -inf, hi: float = inf) -> bool:
+    """True when x is an integer, numpy's included, with lo <= x < hi."""
+    # the int test first: isinstance against the Integral ABC is several times slower
+    return (type(x) is int or isinstance(x, Integral)) and lo <= x < hi
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,10 @@ class Subsystem:
             raise ValueError("register label must be nonempty")
         if self.kind not in KINDS:
             raise ValueError(f"unknown register kind {self.kind!r}; expected one of {KINDS}")
-        if self.dim < 1:
-            raise ValueError(f"register {self.label!r} has dimension {self.dim}; need >= 1")
+        if not is_integer_in(self.dim, 1):
+            raise ValueError(f"register {self.label!r} has dimension {self.dim!r}; need an integer >= 1")
+        if type(self.dim) is not int:
+            object.__setattr__(self, "dim", int(self.dim))
 
     def to_dict(self) -> dict:
         return {"label": self.label, "party": self.party, "kind": self.kind, "dim": self.dim}
@@ -76,10 +91,7 @@ class SystemLayout:
 
     @cached_property
     def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return prod(self.dims)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -104,13 +116,14 @@ class SystemLayout:
         return out
 
     @cached_property
+    def non_env_labels(self) -> tuple[str, ...]:
+        """Every register a bipartite cut covers: all but the environments."""
+        return tuple(s.label for s in self.subsystems if s.kind != "env")
+
+    @cached_property
     def parties(self) -> tuple[str, ...]:
         """Parties in order of first appearance, environments excluded."""
-        seen: list[str] = []
-        for s in self.subsystems:
-            if s.kind != "env" and s.party not in seen:
-                seen.append(s.party)
-        return tuple(seen)
+        return tuple(dict.fromkeys(s.party for s in self.subsystems if s.kind != "env"))
 
     @cached_property
     def players(self) -> tuple[str, ...]:
@@ -157,9 +170,7 @@ class SystemLayout:
             raise ValueError("layout has no dealer party 'D'")
         if not self.players:
             raise ValueError("layout has no player parties")
-        dims = set()
-        for party in self.parties:
-            dims.add(self.subsystem(self.info_label(party)).dim)
+        dims = {self.subsystem(self.info_label(party)).dim for party in self.parties}
         if len(dims) != 1:
             raise ValueError(f"info registers disagree on qudit dimension: {sorted(dims)}")
         d = dims.pop()
@@ -182,12 +193,7 @@ class SystemLayout:
         return SystemLayout(tuple(s for s in self.subsystems if s.label not in drop))
 
     def unique_label(self, base: str) -> str:
-        if base not in self._positions:
-            return base
-        k = 2
-        while f"{base}{k}" in self._positions:
-            k += 1
-        return f"{base}{k}"
+        return _numbered(base, self._positions)
 
     def to_dict(self) -> list[dict]:
         return [s.to_dict() for s in self.subsystems]
@@ -216,7 +222,7 @@ class IndexSet:
         for m in self.members:
             if len(m) != self.digits:
                 raise ValueError(f"member {m} does not have {self.digits} digits")
-            if any(not isinstance(x, Integral) or not 0 <= x < self.modulus for x in m):
+            if not all(is_integer_in(x, 0, self.modulus) for x in m):
                 raise ValueError(f"member {m} has digits outside Z_{self.modulus}")
             if sum(m) % self.modulus != self.target:
                 raise ValueError(f"member {m} sums to {sum(m) % self.modulus}, not {self.target}")
@@ -237,7 +243,7 @@ def digit_sum(digits: Sequence[int], modulus: int) -> int:
         raise ValueError("digit modulus must be >= 2")
     total = 0
     for x in digits:
-        if not isinstance(x, Integral) or not 0 <= x < modulus:
+        if not is_integer_in(x, 0, modulus):
             raise ValueError(f"digit {x} outside Z_{modulus}")
         total += int(x)
     return total % modulus
@@ -267,6 +273,30 @@ def _digit_sum_mask(digits: int, target: int, modulus: int) -> np.ndarray:
     return sums == target
 
 
+def standard_parties(n_players: int) -> tuple[str, ...]:
+    """The dealer, then players A1..An: the party order of standard_layout."""
+    return (DEALER,) + tuple(f"A{k}" for k in range(1, n_players + 1))
+
+
+def _numbered(base: str, taken: Container[str]) -> str:
+    """base if it is free, else base2, base3, ...: the first name not taken."""
+    k = 1
+    while (name := base if k == 1 else f"{base}{k}") in taken:
+        k += 1
+    return name
+
+
+def labeled_layout(registers: Iterable[tuple[str, str, int]]) -> SystemLayout:
+    """Layout of (party, kind, dim) registers, in order, labeled by the one naming rule."""
+    taken: set[str] = set()
+    subs = []
+    for party, kind, dim in registers:
+        label = _numbered(ENV_PARTY if kind == "env" else f"{party}.{kind}", taken)
+        taken.add(label)
+        subs.append(Subsystem(label, party, kind, dim))
+    return SystemLayout(tuple(subs))
+
+
 def standard_layout(
     d: int,
     n_players: int,
@@ -280,20 +310,12 @@ def standard_layout(
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
-    if n_players < 1:
-        raise ValueError("need at least one player")
-    if shield_dims is None:
-        shield_dims = (1,) * (n_players + 1)
-    shield_dims = tuple(int(x) for x in shield_dims)
+    if not is_integer_in(n_players, 1):
+        raise ValueError(f"player count {n_players!r} is not an integer >= 1")
+    shield_dims = (1,) * (n_players + 1) if shield_dims is None else tuple(shield_dims)
     if len(shield_dims) != n_players + 1:
         raise ValueError(
             f"expected {n_players + 1} shield dimensions (dealer first), got {len(shield_dims)}"
         )
-    subs = [
-        Subsystem("D.info", DEALER, "info", d),
-        Subsystem("D.shield", DEALER, "shield", shield_dims[0]),
-    ]
-    for k in range(1, n_players + 1):
-        subs.append(Subsystem(f"A{k}.info", f"A{k}", "info", d))
-        subs.append(Subsystem(f"A{k}.shield", f"A{k}", "shield", shield_dims[k]))
-    return SystemLayout(tuple(subs))
+    parties = zip(standard_parties(n_players), shield_dims)
+    return labeled_layout(r for p, s in parties for r in ((p, "info", d), (p, "shield", s)))

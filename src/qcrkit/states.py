@@ -36,13 +36,12 @@ from __future__ import annotations
 import itertools
 import logging
 from math import prod
-from numbers import Integral
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import defaults
-from .registers import ENV_PARTY, Subsystem, SystemLayout
+from .registers import ENV_PARTY, Subsystem, SystemLayout, is_integer_in
 
 logger = logging.getLogger("qcrkit")
 
@@ -167,14 +166,8 @@ class QuantumState:
     @classmethod
     def basis_state(cls, layout: SystemLayout, digits: Sequence[int]) -> QuantumState:
         """Computational basis ket |digits> in layout order."""
-        digits = tuple(digits)
-        if len(digits) != len(layout):
-            raise ValueError(f"need {len(layout)} digits, got {len(digits)}")
-        for x, sub in zip(digits, layout.subsystems):
-            if not isinstance(x, Integral) or not 0 <= x < sub.dim:
-                raise ValueError(f"digit {x} out of range for register {sub.label!r} (dim {sub.dim})")
         v = np.zeros(layout.total_dim, dtype=np.complex128)
-        v[int(np.ravel_multi_index(digits, layout.dims))] = 1.0
+        v[_digit_index(layout, layout.labels, digits)] = 1.0
         return cls(layout, vector=v, validate=False, copy=False)
 
     def __repr__(self) -> str:
@@ -460,6 +453,20 @@ def measure_computational(
     return outcomes
 
 
+def _digit_index(layout: SystemLayout, labels: Sequence[str], digits: Sequence[int]) -> int:
+    """Flat row-major index of one digit per named register, after the digit check."""
+    digits = tuple(digits)
+    if len(digits) != len(labels):
+        raise ValueError(f"need {len(labels)} digits, got {len(digits)}")
+    k = 0
+    for label, x in zip(labels, digits):
+        d = layout.subsystem(label).dim
+        if not is_integer_in(x, 0, d):
+            raise ValueError(f"digit {x} out of range for register {label!r} (dim {d})")
+        k = k * d + int(x)
+    return k
+
+
 def project_registers(
     state: QuantumState, on: Sequence[str], digits: Sequence[int]
 ) -> tuple[float, QuantumState | None]:
@@ -473,16 +480,8 @@ def project_registers(
     on = list(on)
     if not on:
         raise ValueError("need at least one register to project")
-    digits = tuple(digits)
-    if len(digits) != len(on):
-        raise ValueError(f"need {len(on)} digits, got {len(digits)}")
     layout = state.layout
-    k = 0
-    for label, x in zip(on, digits):
-        d = layout.subsystem(label).dim
-        if not isinstance(x, Integral) or not 0 <= x < d:
-            raise ValueError(f"digit {x} out of range for register {label!r} (dim {d})")
-        k = k * d + x
+    k = _digit_index(layout, on, digits)
     w, _ = _grouped(layout, state._data, on)
     sel, prob, norm = _branch(w, k)
     if prob <= 0.0:
@@ -508,23 +507,20 @@ def purify(
     already held as a vector gets a dimension-1 environment and is otherwise
     unchanged.
     """
-    label = env_label or state.layout.unique_label("E")
+    label = env_label or state.layout.unique_label(ENV_PARTY)
     if state.is_pure:
-        env = Subsystem(label, ENV_PARTY, "env", 1)
-        layout = SystemLayout(state.layout.subsystems + (env,))
-        return _wrap(layout, state.vector)
-    rho = state.matrix
-    herm = _max_asymmetry(rho)
-    if not herm <= defaults.STATE_TOL:
-        raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
-    amps, path = _cholesky_factor(rho, rank_eps), "factor"
-    if amps is None:
-        amps, path = _eigh_factor(rho, rank_eps), "eigh"
-    rank = amps.shape[1]
-    logger.debug("purify: dim %d, rank %d, path %s", rho.shape[0], rank, path)
-    env = Subsystem(label, ENV_PARTY, "env", rank)
-    layout = SystemLayout(state.layout.subsystems + (env,))
-    return _wrap(layout, amps.reshape(-1))
+        amps = state.vector[:, None]
+    else:
+        rho = state.matrix
+        herm = _max_asymmetry(rho)
+        if not herm <= defaults.STATE_TOL:
+            raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
+        amps, path = _cholesky_factor(rho, rank_eps), "factor"
+        if amps is None:
+            amps, path = _eigh_factor(rho, rank_eps), "eigh"
+        logger.debug("purify: dim %d, rank %d, path %s", rho.shape[0], amps.shape[1], path)
+    env = Subsystem(label, ENV_PARTY, "env", amps.shape[1])
+    return _wrap(SystemLayout(state.layout.subsystems + (env,)), amps.reshape(-1))
 
 
 def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:
@@ -631,28 +627,21 @@ def _apply_blocks(
     before the state is regrouped.
     """
     layout = state.layout
-    c_dims = tuple(layout.subsystem(l).dim for l in control)
+    c_dim = prod(layout.subsystem(l).dim for l in control)
     t_dim = prod(layout.subsystem(l).dim for l in target)
-    checked: dict[tuple[int, ...], np.ndarray] = {}
-    for key, b in blocks.items():
-        key = tuple(key)
-        if len(key) != len(control) or any(
-            not isinstance(x, Integral) or not 0 <= x < d for x, d in zip(key, c_dims)
-        ):
-            raise ValueError(f"control key {key} out of range for dims {c_dims}")
-        checked[key] = _check_unitary(b, t_dim, unitary_tol)
+    checked = {
+        _digit_index(layout, control, key): _check_unitary(b, t_dim, unitary_tol)
+        for key, b in blocks.items()
+    }
     w, ungroup = _grouped(layout, state._data, control + target)
-    c_dim = prod(c_dims)
     # _grouped hands back a fresh array unless it could return a view of the
     # read-only input; only that view needs copying before the in-place steps
     out = w if w.flags.writeable else w.copy()
     # (c, t, rest) for a vector, (c, t, rest, c, t, rest) for a density
     out = out.reshape((c_dim, t_dim, w.shape[1]) * (w.ndim // 2))
     rows = out.reshape(c_dim, t_dim, -1)
-    for k, key in enumerate(itertools.product(*[range(d) for d in c_dims])):
-        b = checked.get(key)
-        if b is None:
-            continue
+    # ascending k fixes the rounding order of each entry block B_j X B_k^dag
+    for k, b in sorted(checked.items()):
         rows[k] = b @ rows[k]
         if not state.is_pure:
             out[:, :, :, k] = b.conj() @ out[:, :, :, k]

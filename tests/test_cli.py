@@ -412,6 +412,10 @@ _CONSTRUCT = ["construct", "--out", "{tmp}/o.json"]
     pytest.param(_CONSTRUCT + ["twisted", "--d", "2", "--n", "2", "--seed", "1", "--cap", "8"],
                  64, "exceeds cap 8", id="over-cap-twisted"),
     pytest.param(["verify", "{ex}", "--frob"], 64, "--frob", id="bad-flag"),
+    pytest.param(["ppt", "{ex}", "--side-two", "A1.info"], 64,
+                 "--side-two needs --cuts explicit", id="side-two-without-explicit"),
+    pytest.param(["ppt", "{ex}", "--cuts", "all", "--side-two", "A1.info"], 64,
+                 "--side-two needs --cuts explicit", id="side-two-with-all-cuts"),
 ])
 def test_exit_codes(tmp_path, example_file, argv, code, says):
     (tmp_path / "junk.json").write_text("junk {", encoding="utf-8")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit.registers import DEALER, ENV_PARTY, Subsystem, SystemLayout
+from qcrkit.registers import DEALER, ENV_PARTY, Subsystem, SystemLayout, labeled_layout
 
 
 def numbered(base, k):
@@ -134,6 +134,20 @@ def test_compose_merged_order_keeps_each_party_layout_order():
         "D.shield": "D.shield3", "A1.shield": "A2.shield", "E": "E",
         "D.info": "D.shield2", "A1.info": "A2.info",
     }
+
+
+def test_compose_numbers_environments_like_purify():
+    rng = np.random.default_rng(1203)
+    a = q.purify(q.random_private_state(2, (2, 1), rng))
+    b = q.purify(q.random_private_state(2, (1, 2), rng))
+    merged, record = q.compose(a, b, check=False)
+    assert merged.layout.env_labels == ("E", "E2")
+    assert record.relabel_a["E"] == "E" and record.relabel_b["E"] == "E2"
+    assert record.cx_target == "D.info" and record.cx_control == "D.shield2"
+    # purify names the next environment by the same numbering rule
+    assert q.purify(merged).layout.env_labels == ("E", "E2", "E3")
+    assert q.purify(q.purify(a)).layout.env_labels == ("E", "E2", "E3")
+    assert merged.layout == labeled_layout((s.party, s.kind, s.dim) for s in merged.layout.subsystems)
 
 
 def test_density_compose_peaks_near_two_output_arrays():

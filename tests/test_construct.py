@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
+from qcrkit.construct import _shield_layout
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array(
@@ -341,10 +342,14 @@ def test_twisting_family_key_normalization():
     assert fam.keys() == {(0,), (1,)}
     with pytest.raises(ValueError, match="has negative digits"):
         q.TwistingFamily({(-1,): np.eye(2)})
-    for key in [(1.2,), (0, 0.5), ("1",), (-1.5,)]:
+    for key in [(1.2,), (0, 0.5), ("1",), (-1.5,), 1.2, "1"]:
         with pytest.raises(ValueError, match="has digits that are not integers"):
             q.TwistingFamily({key: np.eye(2)})
     assert q.TwistingFamily({(np.int64(1), 0): np.eye(2)}).keys() == {(1, 0)}
+    # a bare numpy integer is a one-digit key, like a bare int
+    for key in [np.int64(1), np.int32(1), np.uint8(1)]:
+        fam = q.TwistingFamily({key: X, 0: np.eye(2)})
+        assert fam.keys() == {(0,), (1,)} and np.array_equal(fam.unitaries[(1,)], X)
 
 
 def test_relabel_negated_player():
@@ -369,6 +374,29 @@ def test_shield_seed_validation():
         q.ShieldSeed((0, 2), vector=np.zeros(0))
     with pytest.raises(ValueError):
         q.ShieldSeed((2,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: q.ShieldSeed((2.5, 1), vector=np.r_[1.0, 0.0]),
+    lambda: q.ShieldSeed((2, 1.0), vector=np.r_[1.0, 0.0]),
+    lambda: q.ShieldSeed.basis_zero((2.5, 1)),
+    lambda: q.ShieldSeed.random((2, 1.5), np.random.default_rng(0)),
+], ids=["init-2.5", "init-1.0", "basis-zero", "random"])
+def test_shield_seed_rejects_non_integer_dims(build):
+    with pytest.raises(ValueError, match="need an integer >= 1"):
+        build()
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 1), (2, 3, 1), (1, 2, 2, 4)])
+def test_shield_seed_labels_are_standard_layout_shields(dims):
+    seed_layout = _shield_layout(dims)
+    assert seed_layout.dims == q.ShieldSeed.basis_zero(dims).dims == dims
+    numpy_dims = q.ShieldSeed.basis_zero(np.array(dims)).dims
+    assert numpy_dims == dims and all(type(d) is int for d in numpy_dims)
+    if len(dims) > 1:
+        layout = q.standard_layout(2, len(dims) - 1, dims)
+        assert seed_layout.labels == layout.shield_labels
+        assert seed_layout.subsystems == tuple(layout.subsystem(l) for l in layout.shield_labels)
 
 
 def test_shield_seed_constructors():

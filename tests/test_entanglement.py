@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -181,3 +182,54 @@ def test_trace_distance_unitary_invariance():
     ua = q.QuantumState(layout, matrix=u @ a.matrix @ u.conj().T)
     ub = q.QuantumState(layout, matrix=u @ b.matrix @ u.conj().T)
     assert abs(q.trace_distance(a, b) - q.trace_distance(ua, ub)) < 1e-10
+
+
+# -- one cut constructor, checked against the two formulas it replaced ----
+
+
+def old_dealer_cut(layout, players_two):
+    two = set(players_two)
+    side_two = tuple(s.label for s in layout.subsystems if s.kind != "env" and s.party in two)
+    side_one = tuple(s.label for s in layout.subsystems if s.kind != "env" and s.party not in two)
+    return side_one, side_two
+
+
+def old_cli_cut(layout, side_two):
+    two = set(side_two)
+    side_one = tuple(s.label for s in layout.subsystems if s.kind != "env" and s.label not in two)
+    return side_one, tuple(side_two)
+
+
+def cut_layouts():
+    rng = np.random.default_rng(1201)
+    shielded = q.expand_from_private(
+        [q.random_private_state(2, (2, 1), rng) for _ in range(3)], check=False
+    )
+    density = q.random_private_state(2, (2, 2), rng)
+    return {
+        "example": q.build_example_state().layout,
+        "ghz(2,3)": q.build_ghz_qcr(2, 3).layout,
+        "expand x3 shielded": shielded.layout,
+        "purified density": q.purify(density).layout,
+        "purified twice": q.purify(q.purify(density)).layout,
+    }
+
+
+@pytest.mark.parametrize("name", list(cut_layouts()))
+def test_cut_constructor_matches_the_old_formulas(name):
+    layout = cut_layouts()[name]
+    players = layout.players
+    subsets = [
+        combo for r in range(1, len(players) + 1) for combo in itertools.permutations(players, r)
+    ]
+    assert subsets
+    for combo in subsets:
+        cut = q.CutSpec.dealer_cut(layout, combo)
+        assert (cut.side_one, cut.side_two) == old_dealer_cut(layout, combo)
+        cut.validate(layout)
+        for side_two in (cut.side_two, cut.side_two[::-1]):
+            cut = q.CutSpec.from_side_two(layout, side_two)
+            assert (cut.side_one, cut.side_two) == old_cli_cut(layout, side_two)
+    if layout.env_labels:
+        assert not set(layout.env_labels) & set(layout.non_env_labels)
+

@@ -1,9 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit.registers import Subsystem, SystemLayout
+from qcrkit.registers import (
+    Subsystem, SystemLayout, is_integer_in, labeled_layout, standard_parties,
+)
 
 
 def test_index_set_even_parity_triples():
@@ -208,3 +211,83 @@ def test_subsystem_validation():
         Subsystem("X", "D", "weird", 2)
     with pytest.raises(ValueError):
         Subsystem("X", "D", "info", 0)
+
+
+# -- one integer test for digits and dimensions ----------------------------
+
+
+def test_is_integer_in():
+    assert is_integer_in(3) and is_integer_in(np.int64(-4)) and is_integer_in(2**70)
+    assert is_integer_in(0, 0, 1) and not is_integer_in(1, 0, 1) and not is_integer_in(-1, 0)
+    for x in (1.0, 2.5, np.float64(1), "1", None, (1,)):
+        assert not is_integer_in(x)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Subsystem("x", "D", "info", 2.5),
+    lambda: Subsystem("x", "D", "info", 2.0),
+    lambda: Subsystem("x", "D", "info", np.float64(2)),
+    lambda: Subsystem("x", "D", "info", "2"),
+    lambda: q.standard_layout(2, 1, (1.7, 1)),
+    lambda: q.standard_layout(2, 1, (1, 2.0)),
+    lambda: q.standard_layout(2.0, 1),
+    lambda: q.standard_layout(2.5, 1),
+], ids=["2.5", "2.0", "float64", "str", "shield-1.7", "shield-2.0", "d-2.0", "d-2.5"])
+def test_non_integer_dimensions_are_rejected(build):
+    with pytest.raises(ValueError, match="need an integer >= 1"):
+        build()
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, "2"])
+def test_player_count_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="is not an integer >= 1"):
+        q.standard_layout(2, n)
+    with pytest.raises(ValueError, match="is not an integer >= 1"):
+        q.build_ghz_qcr(2, n)
+
+
+def test_integer_dimensions_are_stored_as_python_ints():
+    sub = Subsystem("x", "D", "info", np.int64(3))
+    assert type(sub.dim) is int and sub == Subsystem("x", "D", "info", 3)
+    layout = q.standard_layout(np.int64(2), 1, (np.int32(2), np.uint8(1)))
+    assert all(type(d) is int for d in layout.dims)
+    assert type(layout.total_dim) is int and layout.total_dim == 8
+    # from_dict still wants an exact int: that is input from outside the program
+    with pytest.raises(TypeError):
+        Subsystem.from_dict({"label": "x", "party": "D", "kind": "info", "dim": 2.0})
+
+
+# -- one naming rule ---------------------------------------------------------
+
+
+def test_labeled_layout_numbers_repeated_names():
+    layout = labeled_layout([
+        ("D", "info", 2), ("D", "shield", 2), ("D", "shield", 3), ("A1", "info", 2),
+        ("A1", "shield", 1), ("A1", "shield", 2), ("A1", "shield", 2),
+        ("E", "env", 4), ("E", "env", 1),
+    ])
+    assert layout.labels == (
+        "D.info", "D.shield", "D.shield2", "A1.info",
+        "A1.shield", "A1.shield2", "A1.shield3", "E", "E2",
+    )
+    assert layout.dims == (2, 2, 3, 2, 1, 2, 2, 4, 1)
+
+
+def test_standard_layout_is_labeled_by_the_rule():
+    assert standard_parties(3) == ("D", "A1", "A2", "A3")
+    layout = q.standard_layout(3, 2, (2, 1, 4))
+    assert layout.labels == (
+        "D.info", "D.shield", "A1.info", "A1.shield", "A2.info", "A2.shield",
+    )
+    assert layout == labeled_layout(
+        (s.party, s.kind, s.dim) for s in layout.subsystems
+    )
+
+
+def test_purify_numbers_environments_by_the_rule():
+    rho = q.random_private_state(2, (1, 2), np.random.default_rng(1202))
+    once = q.purify(rho)
+    twice = q.purify(once)
+    assert once.layout.env_labels == ("E",)
+    assert twice.layout.env_labels == ("E", "E2")
+    assert twice.layout.labels == once.layout.labels + ("E2",)
