@@ -31,7 +31,7 @@ from .construct import (
     random_party_twist,
     random_private_state,
 )
-from .entanglement import CutSpec, PptReport, all_dealer_cuts_ppt, ppt_check, trace_distance
+from .entanglement import CutSpec, all_dealer_cuts_ppt, ppt_report, trace_distance
 from .protocols import InputVerificationError, compose, reduce
 from .statefile import StateFileError, read_state, write_state
 from .registers import standard_layout
@@ -324,16 +324,16 @@ def _all_cuts(state: QuantumState) -> list[CutSpec]:
 def cmd_ppt(args: argparse.Namespace) -> int:
     if args.side_two is not None and args.cuts != "explicit":
         raise CliError(EXIT_USAGE, "--side-two needs --cuts explicit")
+    if args.cuts == "explicit" and not args.side_two:
+        raise CliError(EXIT_USAGE, "--cuts explicit needs --side-two LABELS")
     state = read_state(args.state, cap=args.cap)
     tol = args.tol if args.tol is not None else defaults.PPT_TOL
     if args.cuts == "dealer":
         report = all_dealer_cuts_ppt(state, tol=tol)
     else:
-        if args.cuts == "explicit" and not args.side_two:
-            raise CliError(EXIT_USAGE, "--cuts explicit needs --side-two LABELS")
         cuts = (_all_cuts(state) if args.cuts == "all"
                 else [CutSpec.from_side_two(state.layout, args.side_two)])
-        report = PptReport(tol=tol, cuts=tuple(ppt_check(state, c, tol=tol) for c in cuts))
+        report = ppt_report(state, cuts, tol=tol)
     print(f"input: {args.state}  (dim {state.dim}, tol {tol:g})")
     for c in report.cuts:
         print(f"  cut [{' '.join(c.side_one)} | {' '.join(c.side_two)}]"

@@ -8,10 +8,16 @@ the ``qcrkit`` logger at DEBUG:
   is formed even at the dimension cap.
 - ``blocks``: a density's partial transpose, or the difference of two
   states, whose exactly nonzero entries split into several connected
-  components is solved block by block (``states._block_spectrum``), with
+  components is solved block by block (``states._block_spectra``), with
   one batched ``eigvalsh`` per block size. States with a cryptographic
   layout split into hundreds of blocks of at most a few dozen rows.
 - ``dense``: a matrix with one component gets one dense ``eigvalsh``.
+
+No partial transpose is copied whole: each cut's is read from the density
+through its index map, one walk over the density's nonzero entries finds
+the components of every cut in a ``ppt_report`` (``all_dealer_cuts_ppt``
+and ``qcr ppt`` pass their whole cut list), and only the blocks, or the
+single dense array of a one-component cut, are gathered.
 
 Trace distances of two pure vectors come from their (dim, 2) factor pair
 (``states._gram_difference_norm``) and log nothing.
@@ -29,10 +35,11 @@ from . import defaults
 from .registers import DEALER, SystemLayout
 from .states import (
     QuantumState,
+    _block_spectra,
     _block_spectrum,
     _gram_difference_norm,
     _grouped,
-    partial_transpose,
+    _transpose_shift,
 )
 
 logger = logging.getLogger("qcrkit")
@@ -118,42 +125,61 @@ def ppt_check(state: QuantumState, cut: CutSpec, tol: float = defaults.PPT_TOL) 
 
     Environment registers, if any, are left untransposed (they sit with
     side one). The flag is True when the minimum eigenvalue is >= -tol.
-
-    A pure vector with Schmidt coefficients s_1 >= s_2 >= ... across the
-    cut (side two against everything else) has a partial transpose with
-    spectrum {s_i^2, +-s_i s_j (i < j), 0}, so its minimum is -s_1 s_2, or
-    0 at Schmidt rank 1: one SVD of the (side two, rest) matrix, and no
-    density is formed (path ``pure``). A density's partial transpose is
-    handed to ``states._block_spectrum``, which solves it block by block
-    when its nonzero entries split into several components (path
-    ``blocks``, as for states with a cryptographic layout) and by one dense
-    ``eigvalsh`` otherwise (path ``dense``). Each call logs its path on the
-    ``qcrkit`` logger at DEBUG.
+    This is ``ppt_report`` with the one cut; see there for the paths.
     """
-    cut.validate(state.layout)
-    side_two = ",".join(cut.side_two)
+    return ppt_report(state, [cut], tol).cuts[0]
+
+
+def ppt_report(
+    state: QuantumState, cuts: Sequence[CutSpec], tol: float = defaults.PPT_TOL
+) -> PptReport:
+    """``ppt_check`` of every cut in the list, with one pass over a density.
+
+    A pure vector with Schmidt coefficients s_1 >= s_2 >= ... across a cut
+    (side two against everything else) has a partial transpose with
+    spectrum {s_i^2, +-s_i s_j (i < j), 0}, so its minimum is -s_1 s_2, or
+    0 at Schmidt rank 1: one SVD of the (side two, rest) matrix per cut,
+    and no density is formed (path ``pure``). A density's partial
+    transposes are never formed: ``states._block_spectra`` reads each from
+    the density through the cut's index map, finds the components of all
+    of them in one walk over the density's nonzero entries, and solves
+    each block by block when it splits into several components (path
+    ``blocks``, as for states with a cryptographic layout) or as one dense
+    array otherwise (path ``dense``). Each cut logs its path on the
+    ``qcrkit`` logger at DEBUG. Every cut is validated before any work.
+    """
+    layout = state.layout
+    for cut in cuts:
+        cut.validate(layout)
     if state.is_pure:
-        m, _ = _grouped(state.layout, state.vector, cut.side_two)
-        s = np.linalg.svd(m, compute_uv=False)
-        if s.size > 1:
-            min_eig = -float(s[0] * s[1]) + 0.0
-        else:
-            # a product across the cut: {1, 0, ...}, or {1} at dimension 1
-            min_eig = 0.0 if state.dim > 1 else float(s[0] ** 2)
-        logger.debug("ppt: side two %s, dim %d, path pure, svd %dx%d",
-                     side_two, state.dim, *m.shape)
+        mins = [_pure_min_eigenvalue(state, cut) for cut in cuts]
     else:
-        pt = partial_transpose(state, cut.side_two)
-        vals, blocks, largest = _block_spectrum(pt)
-        min_eig = float(vals[0])
-        logger.debug("ppt: side two %s, dim %d, path %s, blocks %d, largest %d",
-                     side_two, state.dim, _path(blocks), blocks, largest)
-    return CutResult(
-        side_one=cut.side_one,
-        side_two=cut.side_two,
-        min_eigenvalue=min_eig,
-        ppt=min_eig >= -tol,
-    )
+        shifts = np.array([_transpose_shift(layout, cut.side_two) for cut in cuts],
+                          dtype=np.intp).reshape(len(cuts), state.dim)
+        mins = []
+        for cut, (vals, blocks, largest) in zip(cuts, _block_spectra(state.matrix, shifts)):
+            logger.debug("ppt: side two %s, dim %d, path %s, blocks %d, largest %d",
+                         ",".join(cut.side_two), state.dim, _path(blocks), blocks, largest)
+            mins.append(float(vals[0]))
+    return PptReport(tol=tol, cuts=tuple(
+        CutResult(side_one=cut.side_one, side_two=cut.side_two,
+                  min_eigenvalue=m, ppt=m >= -tol)
+        for cut, m in zip(cuts, mins)
+    ))
+
+
+def _pure_min_eigenvalue(state: QuantumState, cut: CutSpec) -> float:
+    """-s_1 s_2 from the Schmidt coefficients of a pure vector across the cut."""
+    m, _ = _grouped(state.layout, state.vector, cut.side_two)
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size > 1:
+        min_eig = -float(s[0] * s[1]) + 0.0
+    else:
+        # a product across the cut: {1, 0, ...}, or {1} at dimension 1
+        min_eig = 0.0 if state.dim > 1 else float(s[0] ** 2)
+    logger.debug("ppt: side two %s, dim %d, path pure, svd %dx%d",
+                 ",".join(cut.side_two), state.dim, *m.shape)
+    return min_eig
 
 
 def _path(blocks: int) -> str:
@@ -164,7 +190,8 @@ def all_dealer_cuts_ppt(state: QuantumState, tol: float = defaults.PPT_TOL) -> P
     """PPT check for every cut {dealer + kept players : discarded players}.
 
     Player subsets on the discarded side run over every nonempty subset,
-    including all players (the {dealer : everyone} cut).
+    including all players (the {dealer : everyone} cut). All cuts share one
+    ``ppt_report`` pass.
     """
     layout = state.layout
     if DEALER not in layout.parties:
@@ -172,12 +199,12 @@ def all_dealer_cuts_ppt(state: QuantumState, tol: float = defaults.PPT_TOL) -> P
     players = layout.players
     if not players:
         raise ValueError("layout has no player parties")
-    results = []
-    for size in range(1, len(players) + 1):
-        for combo in itertools.combinations(players, size):
-            cut = CutSpec.dealer_cut(layout, combo)
-            results.append(ppt_check(state, cut, tol))
-    return PptReport(tol=tol, cuts=tuple(results))
+    cuts = [
+        CutSpec.dealer_cut(layout, combo)
+        for size in range(1, len(players) + 1)
+        for combo in itertools.combinations(players, size)
+    ]
+    return ppt_report(state, cuts, tol)
 
 
 def trace_distance(a: QuantumState, b: QuantumState) -> float:

@@ -30,6 +30,12 @@ differences of states with a cryptographic layout, come block by block
 (``_block_spectrum``): the exactly nonzero entries split the matrix into
 connected components, and components of equal size are solved in one
 batched ``eigvalsh``. A matrix with one component is solved densely.
+Partial transposes are never copied for this: ``_block_spectra`` reads
+each one from rho through an index map (``_transpose_shift``), finds the
+components of every cut's transpose in one walk over rho's nonzero
+entries, and gathers only the blocks, or the one dense array of a cut
+with a single component. ``partial_transpose`` stays as the public form
+and as the tests' oracle.
 """
 from __future__ import annotations
 
@@ -298,6 +304,9 @@ def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
 
     Refuses a pure-vector state: project with to_density() first, since the
     result of a partial transpose is not a state and cannot stay a vector.
+    The result is a new dim x dim array, built through two copies. The PPT
+    checks do not call this: they read the transpose from the density
+    through ``_transpose_shift``, and the tests hold them to this function.
     """
     if state.is_pure:
         raise ValueError("partial_transpose needs a density matrix; call to_density() first")
@@ -313,68 +322,177 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def _transpose_shift(layout: SystemLayout, over: Sequence[str]) -> np.ndarray:
+    """B[x], the part of flat index x that the named registers' digits make up.
+
+    Transposing those registers moves entry (p, q) of a matrix to
+    (p - B[p] + B[q], q - B[q] + B[p]), a swap that is its own inverse, so
+    the partial transpose of rho is read as rho[p + B[q] - B[p],
+    q - (B[q] - B[p])]. Dimension-1 registers add 0; B = 0 reads rho itself.
+    """
+    index = np.arange(layout.total_dim)
+    shift = np.zeros_like(index)
+    chosen = set(layout.positions(over))
+    stride = layout.total_dim
+    for i, d in enumerate(layout.dims):
+        stride //= d
+        if i in chosen:
+            shift += index // stride % d * stride
+    return shift
+
+
+def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Entries (p, q) of the matrix read from h through shift; p and q broadcast."""
+    d = shift[q] - shift[p]
+    r = p + d
+    np.subtract(q, d, out=d)
+    return h[r, d]
+
+
 def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Eigenvalues of a Hermitian matrix, ascending, found block by block.
 
-    Like ``eigvalsh``, only the lower triangle of h is read. Its exactly
-    nonzero entries (no tolerance: 1e-300 counts) link rows into connected
-    components, and h restricted to one component is a diagonal block of h
-    up to a permutation, so the spectrum is the union of the blocks'
-    spectra. Components of equal size are gathered into one stack and
-    solved by one batched ``eigvalsh``; a single component is one plain
-    dense ``eigvalsh`` of h. Also returns the number of blocks and the
-    largest block size.
+    ``_block_spectra`` of h through the identity map, which reads h itself:
+    also returns the number of blocks and the largest block size.
+    """
+    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
+
+
+def _block_spectra(h: np.ndarray, shifts: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+    """Spectra of the Hermitian matrices read from h through each map, block by block.
+
+    Row c of shifts is a map B (``_transpose_shift``): its matrix has entry
+    h[p + B[q] - B[p], q - (B[q] - B[p])] at (p, q), so B = 0 is h itself
+    and the map of some registers is h's partial transpose over them; no
+    such matrix is formed in full. Like ``eigvalsh``, only each matrix's
+    lower triangle is read. Its exactly nonzero entries (no tolerance:
+    1e-300 counts, -0.0 does not) link rows into connected components,
+    found for every map in one walk over h (``_components``), and the
+    matrix restricted to one component is a diagonal block of it up to a
+    permutation, so the spectrum is the union of the blocks' spectra.
+    Components of equal size are gathered from h into one stack and solved
+    by one batched ``eigvalsh``. A single component is gathered into one
+    dense array, or is h itself under B = 0, and solved by one plain
+    ``eigvalsh``. Returns, per map, the ascending eigenvalues, the number
+    of blocks and the largest block size.
     """
     n = h.shape[0]
-    root = _components(h)
-    # sizes[r] is the size of the component rooted at r, 0 off the roots;
-    # bincount and cumsum, not np.unique, whose first call imports numpy.ma
-    sizes = np.bincount(root, minlength=n)
-    if sizes[0] == n:
-        return np.linalg.eigvalsh(h), 1, n
-    order = np.argsort(root, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    parts = []
-    for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:  # each block size in use
-        # rows of idx are the components of size k, each in ascending order,
-        # so every block's lower triangle is read from h's lower triangle
-        idx = order[starts[sizes == k][:, None] + np.arange(k)]
-        parts.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).reshape(-1))
-    return np.sort(np.concatenate(parts)), int(np.count_nonzero(sizes)), int(sizes.max())
+    out = []
+    for shift, root in zip(shifts, _components(h, shifts)):
+        # sizes[r] is the size of the component rooted at r, 0 off the roots;
+        # bincount and cumsum, not np.unique, whose first call imports numpy.ma
+        sizes = np.bincount(root, minlength=n)
+        if sizes[0] == n:
+            out.append((np.linalg.eigvalsh(_read_dense(h, shift)), 1, n))
+            continue
+        order = np.argsort(root, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        parts = []
+        for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:  # each block size in use
+            # rows of idx are the components of size k, each in ascending
+            # order, so every block's lower triangle is the matrix's
+            idx = order[starts[sizes == k][:, None] + np.arange(k)]
+            block = _read(h, shift, idx[:, :, None], idx[:, None, :])
+            parts.append(np.linalg.eigvalsh(block).reshape(-1))
+        out.append((np.sort(np.concatenate(parts)), int(np.count_nonzero(sizes)),
+                    int(sizes.max())))
+    return out
 
 
-def _components(h: np.ndarray) -> np.ndarray:
-    """Smallest index in each row's component of the graph of h's lower-triangle nonzeros.
+def _read_dense(h: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The whole matrix read from h through shift: h itself when shift is 0.
 
-    Union-find over the edges i > j with h[i, j] != 0, taken in row strips
-    of about 2^15 entries, so no array of dim^2 entries (mask or index list)
-    is formed. For each strip, until its edges join no two components:
-    the larger of the two roots of every edge is hooked onto the smaller
-    (``np.minimum.at``), then pointers jump until every row points straight
-    at its root. A random path graph needs O(log dim) such rounds per strip.
+    Otherwise it is gathered into one new array in row strips of about
+    2^15 entries, so the index arrays stay small.
     """
+    if not shift.any():
+        return h
     n = h.shape[0]
-    root = np.arange(n)
+    out = np.empty(h.shape, dtype=h.dtype)
+    cols = np.arange(n)
     step = max(1, 2**15 // n)
     for s in range(0, n, step):
-        rows, cols = np.nonzero(h[s:s + step, :s + step] != 0)
-        lower = cols < rows + s
-        u, v = rows[lower] + s, cols[lower]
+        out[s:s + step] = _read(h, shift, np.arange(s, min(s + step, n))[:, None], cols)
+    return out
+
+
+def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """Smallest index in each row's component, for the matrix read from h through each map.
+
+    The graph of a map's matrix (see ``_block_spectra``) has an edge p > q
+    wherever its entry (p, q) is exactly nonzero. One walk over h finds the
+    edges for every map at once: entry (i, j) of h is entry
+    (i - B[i] + B[j], j - B[j] + B[i]) of B's matrix. Batches of at most
+    2^14 nonzero entries (``_nonzero_batches``) are mapped and joined,
+    one map after the other, by union-find:
+    until the edges join no two components, the larger of the two roots of
+    every edge is hooked onto the smaller (``np.minimum.at``), then pointers
+    jump until every row points straight at its root. A random path graph
+    needs O(log dim) such rounds per batch. A map leaves the walk once its
+    matrix is one component, and the walk stops when none is left, so no
+    array of dim^2 entries (mask or index list) is formed. The result has
+    the shape of shifts, which defaults to the identity map: h itself.
+    """
+    n = h.shape[0]
+    shifts = np.zeros(n, dtype=np.intp) if shifts is None else np.asarray(shifts)
+    maps = shifts.reshape(-1, n)
+    roots = np.tile(np.arange(n), (len(maps), 1))
+    live = list(range(len(maps)))
+    # under the identity map alone only h's own lower triangle has edges
+    for i, j in _nonzero_batches(h, lower_only=not maps.any()):
+        if not live:
+            break
+        for c in list(live):
+            d = maps[c][j] - maps[c][i]
+            p = i + d
+            q = np.subtract(j, d, out=d)
+            lower = p > q
+            _join(roots[c], p[lower], q[lower])
+            if not roots[c].any():
+                live.remove(c)  # one component already
+    return roots.reshape(shifts.shape)
+
+
+def _nonzero_batches(h: np.ndarray, lower_only: bool):
+    """Rows and columns of h's exactly nonzero entries, at most 2^14 at a time.
+
+    h is scanned in row strips of about 2^14 entries, or of their part up
+    to the diagonal block when lower_only, and strips are joined into one
+    batch while it stays within 2^14 entries. The strip being scanned is
+    the only other index array held, and the union-find over a batch makes
+    about a dozen arrays of the batch's size: 2.3 MB in all for a dense
+    1024-dim matrix (tracemalloc).
+    """
+    n = h.shape[0]
+    step = max(1, 2**14 // n)
+    rows, cols, pending = [], [], 0
+    for s in range(0, n, step):
+        i, j = np.nonzero(h[s:s + step, :s + step if lower_only else n] != 0)
+        if pending and pending + i.size > 2**14:
+            batch = np.concatenate(rows), np.concatenate(cols)
+            rows, cols, pending = [], [], 0
+            yield batch
+        rows.append(i + s)
+        cols.append(j)
+        pending += i.size
+    if pending:
+        yield np.concatenate(rows), np.concatenate(cols)
+
+
+def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Union-find, in place: join the components of every edge (u[k], v[k])."""
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            return
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
-            ru, rv = root[u], root[v]
-            apart = ru != rv
-            if not apart.any():
+            up = root[root]
+            if np.array_equal(up, root):
                 break
-            u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
-            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-            while True:
-                up = root[root]
-                if np.array_equal(up, root):
-                    break
-                root = up
-        if not root.any():
-            break  # one component already
-    return root
+            root[:] = up
 
 
 def _gram_side(rows: int, cols: int) -> str:

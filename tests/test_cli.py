@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,21 @@ def test_ppt_explicit_cut(pair_file):
                  "--side-two", "A9.info"]) == 64
 
 
+def test_ppt_all_cuts_of_a_2916_dim_composite(tmp_path, capsys):
+    # 10 registers, 511 cuts: one walk over the density serves them all,
+    # where copying each cut's partial transpose took about 90 s
+    private = q.build_private_state(3, q.ShieldSeed.basis_zero((2, 3)))
+    ghz = q.build_ghz_qcr(3, 2, q.ShieldSeed.basis_zero((1, 2, 1)))
+    state, _ = q.compose(private, ghz, check=False)
+    path = tmp_path / "composite.json"
+    q.write_state(state, path)
+    start = time.perf_counter()
+    assert main(["ppt", str(path), "--cuts", "all"]) == 2
+    assert time.perf_counter() - start < 20.0
+    out = capsys.readouterr().out
+    assert "(dim 2916," in out and out.count("  cut [") == 511
+
+
 # -- distance and measure -------------------------------------------------
 
 
@@ -416,6 +432,8 @@ _CONSTRUCT = ["construct", "--out", "{tmp}/o.json"]
                  "--side-two needs --cuts explicit", id="side-two-without-explicit"),
     pytest.param(["ppt", "{ex}", "--cuts", "all", "--side-two", "A1.info"], 64,
                  "--side-two needs --cuts explicit", id="side-two-with-all-cuts"),
+    pytest.param(["ppt", "{tmp}/absent.json", "--cuts", "explicit"], 64,
+                 "--cuts explicit needs --side-two", id="explicit-without-side-two"),
 ])
 def test_exit_codes(tmp_path, example_file, argv, code, says):
     (tmp_path / "junk.json").write_text("junk {", encoding="utf-8")
