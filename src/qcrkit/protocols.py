@@ -8,8 +8,9 @@ compose: the dealer merges two resource states it shares with disjoint
 player groups by adding one info register into the other (modular
 controlled addition), after which the absorbed register joins the dealer's
 shield. The addition and the register reorder that follows only permute
-basis states, so compose is one basis permutation of the tensor product:
-a single gather, exact by construction.
+basis states, so every entry of the result is one product of an entry of
+a and an entry of b, written once into the merged order
+(``_merged_product``); kron(a, b) itself is never formed.
 
 expand_from_private: left fold of compose over a list of two-party states.
 """
@@ -25,13 +26,12 @@ from . import defaults
 from .registers import DEALER, ENV_PARTY, SystemLayout, digit_sum, labeled_layout, standard_parties
 from .states import (
     QuantumState,
-    _grouped,
+    _check_cap,
     _wrap,
     apply_unitary,
     measurement_distribution,
     partial_trace,
     project_registers,
-    tensor_product,
 )
 from .verify import CoalitionSpec, VerificationReport, is_qcr
 
@@ -215,9 +215,11 @@ def compose(
     controlled addition, target on a's side); b's dealer info register is
     then reclassified as a dealer shield, players are renumbered A1..A_{N+M}
     (a's first), and the relabeling is recorded. Addition and reorder are
-    one basis permutation, applied as a single gather from kron(a, b), so
-    every entry is copied, never computed: the result is exact by
-    construction.
+    one basis permutation of kron(a, b), so each entry of the result is the
+    product a[alpha_i, alpha_j] * b[beta_i, beta_j] that kron(a, b) holds
+    for it; these products are written straight into one array in the
+    merged order, and kron(a, b) is never formed. cap is checked before
+    that array is allocated.
     """
     a.layout.require_crypto_form()
     b.layout.require_crypto_form()
@@ -256,17 +258,9 @@ def compose(
     n_a = len(a.layout)
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
-    joint = tensor_product(a.relabeled(relabel_a), b.relabeled(relabel_b), cap=cap)
-
-    # basis state t, c (target, control digits) of the controlled addition
-    # comes from t - c, c; the reorder is a second index map over the result
-    idx = np.arange(joint.dim)
-    pairs, ungroup = _grouped(joint.layout, idx, [names[target], names[control]])
-    t, c = np.arange(d)[:, None], np.arange(d)
-    src = ungroup(pairs.reshape(d, d, -1)[(t - c) % d, c])
-    src = src[_grouped(joint.layout, idx, layout.labels)[0].reshape(-1)]
-    data = joint.vector[src] if joint.is_pure else joint.matrix[np.ix_(src, src)]
-    # kron leaves some zeros as -0.0; make them +0.0, since qcr-state/1 writes the sign
+    _check_cap(a.dim * b.dim, cap)
+    data = _merged_product(a, b, [i for i, _, _ in merged], target, control)
+    # a product can be -0.0 (0 * -x); make it +0.0, since qcr-state/1 writes the sign
     data += 0.0
 
     record = CompositionRecord(
@@ -280,6 +274,55 @@ def compose(
         relabel_b=relabel_b,
     )
     return _wrap(layout, data), record
+
+
+def _merged_product(
+    a: QuantumState, b: QuantumState, order: list[int], target: int, control: int
+) -> np.ndarray:
+    """kron(a, b) after the controlled addition, in merged register order, written once.
+
+    order lists each merged register's position in kron(a, b). Entry
+    (i, j) of the result is a[alpha_i, alpha_j] * b[beta_i, beta_j], where
+    beta is read off the merged digits and alpha likewise, except that a's
+    target digit is the merged one minus b's control digit, mod d. The
+    result is allocated once and seen as one axis per register of
+    dimension > 1, transposed into kron(a, b) order; a and b are seen the
+    same way, each with unit axes for the other side's registers. Under
+    control digit c the addition shifts a's target digit cyclically by c,
+    which is two slices: merged target digits c..d-1 come from a's
+    0..d-c-1, and 0..c-1 from a's d-c..d-1. One multiply per pair of row
+    and column pieces (per piece for a vector) fills its part of the
+    result, so every entry is computed once, as the product kron(a, b)
+    holds for it.
+    """
+    pure = a.is_pure and b.is_pure
+    xa, xb = (s.vector if pure else s.density_matrix() for s in (a, b))
+    dims = a.dims + b.dims
+    axis = {i: k for k, i in enumerate(i for i in range(len(dims)) if dims[i] > 1)}
+    merged_axes = [axis[i] for i in order if i in axis]
+    n, k = len(axis), xa.ndim
+    # perm[m]: the output axis that holds kron(a, b) axis m
+    perm = sorted(range(n), key=merged_axes.__getitem__)
+    shape = tuple(dims[i] for i in axis)
+    n_a = sum(1 for i in axis if i < len(a.dims))
+    unit = (1,) * n
+    data = np.empty((a.dim * b.dim,) * k, dtype=np.complex128)
+    out = data.reshape(tuple(shape[m] for m in merged_axes) * k)
+    out = out.transpose(perm + [p + n for p in perm] if k == 2 else perm)
+    xa = xa.reshape((shape[:n_a] + unit[n_a:]) * k)
+    xb = xb.reshape((unit[:n_a] + shape[n_a:]) * k)
+    d = dims[target]
+    pieces = [(c, slice(c, d), slice(0, d - c)) for c in range(d)]
+    pieces += [(c, slice(0, c), slice(d - c, d)) for c in range(1, d)]
+    every = [slice(None)] * (n * k)
+    for chosen in itertools.product(pieces, repeat=k):
+        io, ia, ib = list(every), list(every), list(every)
+        for side, (c, merged_t, a_t) in enumerate(chosen):
+            t, ctl = axis[target] + side * n, axis[control] + side * n
+            io[t], ia[t] = merged_t, a_t
+            io[ctl] = ib[ctl] = slice(c, c + 1)
+        np.multiply(xa[tuple(ia)], xb[tuple(ib)], out=out[tuple(io)])
+    return data
 
 
 def expand_from_private(

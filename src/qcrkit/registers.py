@@ -17,6 +17,7 @@ integer-and-range test. The support, the digit strings that sum to t mod d:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
@@ -234,7 +235,13 @@ class IndexSet:
         return len(self.members)
 
     def __contains__(self, string: Sequence[int]) -> bool:
-        return tuple(string) in set(self.members)
+        """Membership as a set would answer it, by bisection of the sorted members."""
+        key = tuple(string)
+        try:
+            i = bisect_left(self.members, key)
+        except TypeError:  # a digit that does not order against ints, such as a str
+            return key in self.members
+        return i < len(self.members) and self.members[i] == key
 
 
 def digit_sum(digits: Sequence[int], modulus: int) -> int:

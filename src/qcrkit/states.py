@@ -8,11 +8,17 @@ largest composed fixtures fast. A density is purified by a pivoted
 Cholesky factor, at a cost of dim^2 x rank, and is eigendecomposed only
 when that factor fails its residual check.
 
-Axis convention: arrays are flat, in layout order. Every operation that
-acts on some registers goes through ``_grouped``, which moves the named
-registers to the front of a vector, as ``(g, r)``, or of a matrix, as
-``(g, r, g, r)``, and hands back the map to flat layout order. Dimension-1
-registers carry no axis there, so the register count sets no ceiling.
+Axis convention: arrays are flat, in layout order. An operation that
+keeps only part of a density reads it through a view: ``_runs`` cuts the
+registers into runs of adjacent ones that are all named or all not, and
+the density reshaped to one row and one column axis per run is indexed in
+place. ``project_registers`` copies only the kept block and
+``partial_trace`` adds up only the traced diagonal blocks. Operations on
+vectors, and those that write the whole array, go through ``_grouped``,
+which moves the named registers to the front of a vector, as ``(g, r)``,
+or of a matrix, as ``(g, r, g, r)``, and hands back the map to flat layout
+order. Either way dimension-1 registers carry no axis, so the register
+count sets no ceiling, and no einsum label limit applies.
 
 One block loop, ``_apply_blocks``, applies unitaries to vectors and
 densities alike: each block multiplies its rows of the grouped array and
@@ -68,8 +74,11 @@ class QuantumState:
             raise ValueError("provide exactly one of vector= or matrix=")
         self.layout = layout
         dim = layout.total_dim
+        # copy=False converts only what is not complex128 already (np.array's
+        # copy=False would raise for it)
+        as_complex = np.array if copy else np.asarray
         if vector is not None:
-            arr = np.array(vector, dtype=np.complex128, copy=copy)
+            arr = as_complex(vector, dtype=np.complex128)
             if arr.shape != (dim,):
                 raise ValueError(f"vector shape {arr.shape} does not match layout dim {dim}")
             if validate:
@@ -79,7 +88,7 @@ class QuantumState:
             self._vector: np.ndarray | None = arr
             self._matrix: np.ndarray | None = None
         else:
-            arr = np.array(matrix, dtype=np.complex128, copy=copy)
+            arr = as_complex(matrix, dtype=np.complex128)
             if arr.shape != (dim, dim):
                 raise ValueError(f"matrix shape {arr.shape} does not match layout dim {dim}")
             if validate:
@@ -266,6 +275,39 @@ def _grouped(
     return grouped, ungroup
 
 
+def _runs(layout: SystemLayout, chosen: Sequence[str]) -> list[tuple[bool, int, list[str]]]:
+    """Registers of dimension > 1 in layout order, cut into runs all in or all out of chosen.
+
+    Each run is (in chosen, dimension, labels). The registers of a run are
+    adjacent in flat layout order, so a flat array reshaped to the run
+    dimensions, once per array axis, has one axis per run: ``_pick`` then
+    selects digits of the chosen runs in place, and only the part that is
+    kept needs copying. A density has at most two axes per nontrivial
+    register this way, as under ``_grouped``.
+    """
+    layout.positions(chosen)  # raises on an unknown or repeated label
+    inside = set(chosen)
+    runs: list[tuple[bool, int, list[str]]] = []
+    for s in layout.subsystems:
+        if s.dim == 1:
+            continue
+        if runs and runs[-1][0] == (s.label in inside):
+            flag, n, labels = runs[-1]
+            runs[-1] = (flag, n * s.dim, labels + [s.label])
+        else:
+            runs.append((s.label in inside, s.dim, [s.label]))
+    return runs
+
+
+def _pick(runs: list[tuple[bool, int, list[str]]], digits: Sequence[int]) -> tuple:
+    """Index into one half (rows or columns) of an array reshaped to its runs.
+
+    The chosen runs get the given digits, in order; the others are kept whole.
+    """
+    digit = iter(digits)
+    return tuple(next(digit) if inside else slice(None) for inside, _, _ in runs)
+
+
 def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
     """Outcome k of a grouped array: its index, probability and normalizer.
 
@@ -284,6 +326,9 @@ def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     """Trace out the named registers; result is a density state on the rest.
 
     Fast path: tracing only dimension-1 registers preserves a pure vector.
+    A pure input gives M M^dag; a density is read through a view of its
+    runs (``_runs``), and its traced diagonal blocks are added one by one
+    into the output, so no array of the input's size is made.
     """
     over = list(over)
     if not over:
@@ -294,8 +339,20 @@ def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     if state.is_pure and all(layout.dims[p] == 1 for p in pos):
         # dropping dimension-1 registers leaves the flat vector unchanged
         return _wrap(new_layout, state.vector)
-    m, _ = _grouped(layout, state._data, new_layout.labels)
-    rho = m @ m.conj().T if state.is_pure else np.trace(m, axis1=1, axis2=3)
+    if state.is_pure:
+        m, _ = _grouped(layout, state.vector, new_layout.labels)
+        return _wrap(new_layout, m @ m.conj().T)
+    runs = _runs(layout, over)
+    if all(inside for inside, _, _ in runs):
+        # a 1 x 1 result: one np.trace, not a loop over dim scalar blocks
+        return _wrap(new_layout, np.trace(state.matrix).reshape(1, 1))
+    view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)
+    rho = np.zeros((new_layout.total_dim,) * 2, dtype=np.complex128)
+    out = rho.reshape(tuple(n for inside, n, _ in runs if not inside) * 2)
+    # add the traced diagonal blocks in ascending digit order onto +0.0, so
+    # that no entry of the sum is -0.0
+    for k in np.ndindex(*(n for inside, n, _ in runs if inside)):
+        np.add(out, view[_pick(runs, k) * 2], out=out)
     return _wrap(new_layout, rho)
 
 
@@ -593,18 +650,34 @@ def project_registers(
     Returns (probability, conditional state on the remaining layout); the
     state is None when the probability is exactly zero. Unlike
     measure_computational this removes the measured registers, and a pure
-    input stays pure.
+    input stays pure. Of a density only the kept block is copied, through
+    a view of its runs (``_runs``), and it is normalized in place.
     """
     on = list(on)
     if not on:
         raise ValueError("need at least one register to project")
     layout = state.layout
+    digits = tuple(digits)
     k = _digit_index(layout, on, digits)
-    w, _ = _grouped(layout, state._data, on)
+    new_layout = layout.without(on)
+    if state.is_pure:
+        w, _ = _grouped(layout, state.vector, on)
+    else:
+        # copy only the kept block, as w = (1, r, 1, r), and scale it in place
+        runs = _runs(layout, on)
+        digit = dict(zip(on, digits))
+        picked = [
+            _digit_index(layout, ls, [digit[l] for l in ls]) for inside, _, ls in runs if inside
+        ]
+        view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)[_pick(runs, picked) * 2]
+        w, k = np.array(view, order="C").reshape((1, new_layout.total_dim) * 2), 0
     sel, prob, norm = _branch(w, k)
     if prob <= 0.0:
         return max(prob, 0.0), None
-    return prob, _wrap(layout.without(on), w[sel] / norm)
+    if state.is_pure:
+        return prob, _wrap(new_layout, w[sel] / norm)
+    w /= norm
+    return prob, _wrap(new_layout, w[sel])
 
 
 def purify(

@@ -238,6 +238,14 @@ def test_compose_dimension_mismatch(pair_file, tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 64
 
 
+def test_compose_over_cap_is_a_usage_error(pair_file, tmp_path, capsys):
+    out = tmp_path / "merged.json"
+    assert main(["compose", pair_file, pair_file, "--cap", "15", "--out", str(out)]) == 64
+    assert "state dimension 16 exceeds cap 15" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["compose", pair_file, pair_file, "--cap", "16", "--out", str(out)]) == 0
+
+
 def test_compose_uncertified_input_and_force(pair_file, tmp_path):
     layout = q.standard_layout(2, 1)
     junk = q.QuantumState.basis_state(layout, (0,) * 4)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
+from qcrkit import states
 from qcrkit.registers import DEALER, ENV_PARTY, Subsystem, SystemLayout, labeled_layout
 
 
@@ -150,7 +151,7 @@ def test_compose_numbers_environments_like_purify():
     assert merged.layout == labeled_layout((s.party, s.kind, s.dim) for s in merged.layout.subsystems)
 
 
-def test_density_compose_peaks_near_two_output_arrays():
+def test_density_compose_peaks_near_one_output_array():
     a = q.random_private_state(2, (2, 2), np.random.default_rng(7))
     b = q.build_example_state().to_density()
     tracemalloc.start()
@@ -160,4 +161,57 @@ def test_density_compose_peaks_near_two_output_arrays():
     finally:
         tracemalloc.stop()
     assert merged.dim == 1024
-    assert peak <= 2.2 * merged.matrix.nbytes
+    assert peak <= 1.1 * merged.matrix.nbytes
+
+
+def test_compose_cap_is_refused_before_any_output_sized_allocation():
+    a = q.random_private_state(2, (2, 2), np.random.default_rng(8))
+    b = q.build_example_state().to_density()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^state dimension 1024 exceeds cap 1023$"):
+            q.compose(a, b, check=False, cap=1023)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 1024 * 1024 * 16
+    assert q.compose(a, b, check=False, cap=1024)[0].dim == 1024
+
+
+def kron_gather_compose(a, b, record):
+    """The data of compose as one gather from kron(a, b), the formula it replaced."""
+    joint = q.tensor_product(a.relabeled(record.relabel_a), b.relabeled(record.relabel_b))
+    d = record.qudit_dim
+    idx = np.arange(joint.dim)
+    pairs, ungroup = states._grouped(joint.layout, idx, [record.cx_target, record.cx_control])
+    t, c = np.arange(d)[:, None], np.arange(d)
+    src = ungroup(pairs.reshape(d, d, -1)[(t - c) % d, c])
+    src = src[states._grouped(joint.layout, idx, record.layout.labels)[0].reshape(-1)]
+    data = joint.vector[src] if joint.is_pure else joint.matrix[np.ix_(src, src)]
+    return data + 0.0
+
+
+def many_register_state(d, players, rng, pure):
+    """A crypto-form state with five dimension-1 registers after every info register."""
+    regs = [(DEALER, "info", d)] + [(DEALER, "shield", 1)] * 5
+    for k in range(1, players + 1):
+        regs += [(f"A{k}", "info", d)] + [(f"A{k}", "shield", 1)] * 5
+    regs[2] = (DEALER, "shield", 2)  # one nontrivial shield between trivial ones
+    layout = labeled_layout(regs)
+    if pure:
+        return q.QuantumState(layout, vector=q.random_pure(layout.total_dim, rng))
+    return q.QuantumState(layout, matrix=q.random_density(layout.total_dim, rng))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_compose_past_26_registers_matches_the_kron_gather(d):
+    rng = np.random.default_rng(1400 + d)
+    for pure_a, pure_b in itertools.product([True, False], repeat=2):
+        a = many_register_state(d, 2, rng, pure_a)
+        b = many_register_state(d, 1, rng, pure_b)
+        merged, record = q.compose(a, b, check=False)
+        assert len(merged.layout) == 30
+        assert merged._data.tobytes() == kron_gather_compose(a, b, record).tobytes()
+        want, want_record = pipeline_compose(a, b)
+        assert record == want_record
+        assert np.array_equal(merged._data, want._data)

@@ -1,0 +1,158 @@
+"""project_registers and partial_trace on densities against the grouped-copy formulas.
+
+Both read the density through a view with one row and one column axis per
+run of adjacent registers (``states._runs``) and copy only what they keep.
+The oracles below are the formulas they replaced: regroup the whole array
+with ``states._grouped``, then take one diagonal block or trace over the
+traced axes. Outputs must be the same bytes, +0.0 zeros included.
+"""
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import qcrkit as q
+from qcrkit import states
+from qcrkit.registers import DEALER, labeled_layout
+
+
+def grouped_partial_trace(state, over):
+    kept = state.layout.without(over)
+    m, _ = states._grouped(state.layout, state.matrix, kept.labels)
+    return np.trace(m, axis1=1, axis2=3)
+
+
+def grouped_project(state, on, digits):
+    k = states._digit_index(state.layout, on, digits)
+    w, _ = states._grouped(state.layout, state._data, on)
+    sel, prob, norm = states._branch(w, k)
+    return prob, (w[sel] / norm if prob > 0.0 else None)
+
+
+def assert_same_as_oracles(state, subsets):
+    for over in subsets:
+        if state.is_pure or not over:  # both return a pure or an empty-trace input as it is
+            continue
+        got = q.partial_trace(state, over)
+        assert got._data.tobytes() == grouped_partial_trace(state, over).tobytes(), over
+    for on in subsets:
+        if not on:
+            continue
+        dims = [state.layout.subsystem(l).dim for l in on]
+        for digits in itertools.product(*map(range, dims)):
+            prob, post = q.project_registers(state, on, digits)
+            want_prob, want = grouped_project(state, on, digits)
+            assert prob == want_prob, (on, digits)
+            if want is None:
+                assert post is None
+            else:
+                assert post._data.tobytes() == want.tobytes(), (on, digits)
+
+
+def seeded_fixtures():
+    rng = np.random.default_rng(1401)
+    return [
+        q.random_private_state(2, (2, 2), rng),
+        q.random_private_state(3, (1, 2), rng),
+        q.purify(q.random_private_state(2, (1, 2), rng)).to_density(),
+        q.build_ghz_qcr(2, 2, q.ShieldSeed.random([2, 1, 2], rng, pure=False)),
+        q.build_example_state().to_density(),
+        q.QuantumState(q.standard_layout(2, 1, (2, 3)),
+                       matrix=np.kron(q.random_density(12, rng), np.eye(2) / 2)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_every_register_subset_matches_the_grouped_copy(index):
+    state = seeded_fixtures()[index]
+    labels = state.layout.labels
+    subsets = [list(c) for r in range(len(labels) + 1) for c in itertools.combinations(labels, r)]
+    assert_same_as_oracles(state, subsets)
+    # the same registers in another order project onto the same block
+    assert_same_as_oracles(state, [list(reversed(labels[:3]))])
+
+
+def many_register_state(rng, pure):
+    """40 registers, 32 of dimension 1, in crypto form: 2 x 3 x 4^3 = 384 dims."""
+    regs = [(DEALER, "info", 2), (DEALER, "shield", 1), (DEALER, "shield", 3)]
+    for k in range(1, 4):
+        regs += [(f"A{k}", "info", 2)] + [(f"A{k}", "shield", 1)] * 8 + [(f"A{k}", "shield", 2)]
+    regs += [(DEALER, "shield", 1)] * 7
+    layout = labeled_layout(regs)
+    if pure:
+        return q.QuantumState(layout, vector=q.random_pure(layout.total_dim, rng))
+    return q.QuantumState(layout, matrix=q.random_density(layout.total_dim, rng))
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_past_26_registers_projection_and_trace_match_the_grouped_copy(pure):
+    rng = np.random.default_rng(1402)
+    state = many_register_state(rng, pure)
+    labels = state.layout.labels
+    assert len(labels) == 40 and state.dim == 384
+    subsets = [
+        list(labels[:2]),
+        ["A1.info", "A2.shield9", "D.shield"],
+        [l for l in labels if "shield" in l],
+        [l for l in labels if not l.startswith("A2")],
+        list(labels),
+        ["A3.shield9", "D.info"],
+    ]
+    assert_same_as_oracles(state, subsets)
+    dens = state.to_density()
+    assert_same_as_oracles(dens, subsets)
+    # reduce projects A1's info register out, then traces its 9 shields
+    for branch in q.reduce(dens, ["A1"], check=False):
+        post = q.project_registers(dens, ["A1.info"], branch.digits)[1]
+        shields = [l for l in post.layout.labels if l.startswith("A1.")]
+        assert len(shields) == 9
+        want = q.partial_trace(post, shields)
+        if branch.beta:
+            want = q.apply_unitary(want, q.shift_matrix(2, branch.beta), ["D.info"])
+        assert branch.state._data.tobytes() == want._data.tobytes()
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_selection_errors_on_the_view_paths(pure):
+    state = many_register_state(np.random.default_rng(1403), pure)
+    with pytest.raises(ValueError, match="repeated register label in selection"):
+        q.project_registers(state, ["A1.info", "A1.info"], (0, 0))
+    with pytest.raises(ValueError, match="repeated register label in selection"):
+        q.partial_trace(state, ["A1.shield", "A2.info", "A1.shield"])
+    with pytest.raises(KeyError, match="no register labeled 'nope'"):
+        q.project_registers(state, ["A1.info", "nope"], (0, 0))
+    with pytest.raises(KeyError, match="no register labeled 'nope'"):
+        q.partial_trace(state, ["A1.info", "nope"])
+
+
+def composite_1024():
+    a = q.random_private_state(2, (2, 2), np.random.default_rng(1404))
+    merged, _ = q.compose(a, q.build_example_state().to_density(), check=False)
+    assert merged.dim == 1024
+    return merged
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_project_registers_at_1024_copies_only_the_kept_block():
+    rho = composite_1024()
+    (prob, post), peak = peak_bytes(lambda: q.project_registers(rho, ["A1.info"], (1,)))
+    assert post.dim == 512 and prob > 0
+    assert peak <= 1.1 * post.matrix.nbytes
+
+
+def test_partial_trace_at_1024_makes_no_array_as_large_as_its_input():
+    rho = composite_1024()
+    for over in (["D.shield"], ["A1.info", "A1.shield"], ["D.info", "A3.shield"]):
+        out, peak = peak_bytes(lambda: q.partial_trace(rho, over))
+        assert out.dim == 1024 >> len(over)
+        assert peak < rho.matrix.nbytes / 2
+        assert out.matrix.tobytes() == grouped_partial_trace(rho, over).tobytes()

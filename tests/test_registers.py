@@ -51,6 +51,23 @@ def test_index_set_membership():
     assert [0, 1] not in s
 
 
+def test_index_set_membership_answers_like_a_set():
+    odd = [(), (0.5,), ("0",), (None,), (-1,), (1.0,), (True,), (np.float64(0.0),), (0j,)]
+    for k, d in itertools.product(range(1, 5), range(2, 4)):
+        strings = list(itertools.product(range(d), repeat=k))
+        probes = strings + [s + (0,) for s in strings] + [s[:-1] for s in strings]
+        probes += [s[:-1] + (d,) for s in strings] + [s[:-1] + (-1,) for s in strings]
+        probes += [tuple(np.int64(x) for x in s) for s in strings]
+        probes += [tuple(np.uint8(x) for x in s) for s in strings[:5]]
+        probes += [s[:-1] + x for s in strings[:4] for x in odd]
+        for t in range(d):
+            members = q.index_set(k, t, d)
+            as_set = set(members.members)
+            for probe in probes:
+                assert (probe in members) == (tuple(probe) in as_set), (k, d, t, probe)
+                assert (list(probe) in members) == (tuple(probe) in as_set)
+
+
 def test_index_set_validation():
     for digits, target, modulus, match in [
         (0, 0, 2, "at least one digit"),

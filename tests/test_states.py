@@ -57,6 +57,27 @@ def test_state_constructor_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError):
         q.ShieldSeed((2, 2), matrix=off)
 
+@pytest.mark.parametrize("kind", ["list", "float64", "complex64", "complex128"])
+def test_state_constructor_copy_false_takes_every_input_kind(kind):
+    layout = two_register_layout(2, 2)
+    vec = [0.5, 0.5, 0.5, 0.5]
+    mat = (np.eye(4) / 4).tolist()
+    make = {
+        "list": lambda x: x,
+        "float64": lambda x: np.array(x, dtype=np.float64),
+        "complex64": lambda x: np.array(x, dtype=np.complex64),
+        "complex128": lambda x: np.array(x, dtype=np.complex128),
+    }[kind]
+    for key, value in (("vector", vec), ("matrix", mat)):
+        given = make(value)
+        s = q.QuantumState(layout, copy=False, **{key: given})
+        assert s._data.dtype == np.complex128
+        assert np.array_equal(s._data, np.array(value))
+        # a complex128 array is kept, buffer and all; anything else is converted once
+        assert np.shares_memory(s._data, given) == (kind == "complex128")
+        assert not np.shares_memory(q.QuantumState(layout, **{key: make(value)})._data, given)
+
+
 def test_state_representation_accessors():
     layout = two_register_layout(2, 2)
     v = np.zeros(4, dtype=complex)
