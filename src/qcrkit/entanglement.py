@@ -17,10 +17,15 @@ No partial transpose is copied whole: each cut's is read from the density
 through its index map, one walk over the density's nonzero entries finds
 the components of every cut in a ``ppt_report`` (``all_dealer_cuts_ppt``
 and ``qcr ppt`` pass their whole cut list), and only the blocks, or the
-single dense array of a one-component cut, are gathered.
+single dense array of a one-component cut, are gathered. The walk visits
+only the block of rows and columns that hold a nonzero entry (the
+density's support, ``states._support``): a 1024-dim composite of the
+benchmark holds its 1,024 nonzero entries in a 32 x 32 block.
 
-Trace distances of two pure vectors come from their (dim, 2) factor pair
-(``states._gram_difference_norm``) and log nothing.
+A density trace distance likewise forms the difference only on the union
+of the two states' supports; the rows off it are 1 x 1 blocks of 0, and
+are counted as such. Trace distances of two pure vectors come from their
+(dim, 2) factor pair (``states._gram_difference_norm``) and log nothing.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from .states import (
     _block_spectrum,
     _gram_difference_norm,
     _grouped,
+    _support,
     _transpose_shift,
 )
 
@@ -218,14 +224,41 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     Hermitian difference is taken from ``states._block_spectrum``: block by
     block when the difference's nonzero entries split into several
     components (path ``blocks``), else by one dense ``eigvalsh`` (path
-    ``dense``), about half the cost of the SVD in ``trace_norm``. A density
-    call logs its path on the ``qcrkit`` logger at DEBUG.
+    ``dense``), about half the cost of the SVD in ``trace_norm``. The
+    difference is formed only on the union of the two supports (a pure
+    vector's nonzero amplitudes, a density's ``states._support``), so a
+    pure operand's dim x dim projector is never built; every row off the
+    union is a 1 x 1 block with eigenvalue 0, and these are added back, so
+    the value, the block count and the largest block are those of the
+    whole difference. When the union is every row, the whole difference is
+    formed as before. A density call logs its path on the ``qcrkit``
+    logger at DEBUG.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_pure and b.is_pure:
         return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
-    vals, blocks, largest = _block_spectrum(a.density_matrix() - b.density_matrix())
+    # the union of the two supports, as a mask: np.union1d imports numpy.ma
+    mask = np.zeros(a.dim, dtype=bool)
+    for s in (a, b):
+        mask[np.flatnonzero(s.vector) if s.is_pure else _support(s.matrix)] = True
+    union = np.flatnonzero(mask)
+    if union.size in (0, a.dim):
+        vals, blocks, largest = _block_spectrum(a.density_matrix() - b.density_matrix())
+    else:
+        diff = _principal_block(a, union) - _principal_block(b, union)
+        vals, blocks, largest = _block_spectrum(diff)
+        # the difference is zero off the union: one 1 x 1 block of 0 per row
+        vals = np.sort(np.concatenate((vals, np.zeros(a.dim - union.size))))
+        blocks += a.dim - union.size
     logger.debug("trace_distance: dim %d, path %s, blocks %d, largest %d",
                  a.dim, _path(blocks), blocks, largest)
     return float(np.abs(vals).sum())
+
+
+def _principal_block(state: QuantumState, rows: np.ndarray) -> np.ndarray:
+    """The principal block of the state's density on the given rows and columns."""
+    if state.is_pure:
+        v = state.vector[rows]
+        return np.outer(v, v.conj())
+    return state.matrix[np.ix_(rows, rows)]

@@ -42,6 +42,17 @@ components of every cut's transpose in one walk over rho's nonzero
 entries, and gathers only the blocks, or the one dense array of a cut
 with a single component. ``partial_transpose`` stays as the public form
 and as the tests' oracle.
+
+A density is read only on its support. The resource states are supported
+on digit-sum-zero info strings, so nearly every entry of their densities
+is zero: a 1024-dim composite holds 1,024 nonzero entries, all in a
+32 x 32 principal block. ``_support`` lists the rows or columns that hold
+an exactly nonzero entry, in one strip-wise pass over rho seen as float64
+pairs, and every entry outside support x support is zero. The Hermitian
+check (``_max_asymmetry``), ``purify`` and the nonzero walk of the block
+spectra (``_nonzero_batches``) then work on that block alone
+(``_support_block``) and map its rows back to rho's; a full or empty
+support runs on rho itself, with no copy.
 """
 from __future__ import annotations
 
@@ -215,9 +226,40 @@ def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) 
         raise error(f"state dimension {dim} exceeds cap {limit}")
 
 
+def _support(h: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows or columns of h that hold an exactly nonzero entry.
+
+    An entry counts when its real or imaginary part is nonzero: NaN and inf
+    count, +-0.0 does not, as in ``_block_spectra``. Every entry of h
+    outside support x support is therefore exactly zero. h is read once,
+    in row strips of about 2^16 entries seen as float64 pairs, and the scan
+    stops as soon as every column has a nonzero entry: a dense matrix costs
+    one strip.
+    """
+    n = h.shape[0]
+    rows = np.zeros(n, dtype=bool)
+    cols = np.zeros(n, dtype=bool)
+    step = max(1, 2**16 // max(n, 1))
+    for s in range(0, n, step):
+        nz = np.ascontiguousarray(h[s:s + step]).view(np.float64) != 0
+        np.logical_or.reduce(nz, axis=1, out=rows[s:s + step])
+        cols |= np.logical_or.reduce(nz, axis=0).reshape(n, 2).any(axis=1)
+        if cols.all():
+            return np.arange(n)
+    return np.flatnonzero(rows | cols)
+
+
+def _support_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h's support (``_support``) and h's block on it: h itself when the support is full or empty."""
+    s = _support(h)
+    return s, (h if s.size in (0, h.shape[0]) else h[np.ix_(s, s)])
+
+
 def _max_asymmetry(m: np.ndarray) -> float:
     """max |m - m^dag| over all entries, without a dim x dim temporary.
 
+    Only the block on m's support (``_support_block``) is read: every pair
+    outside it is 0 - conj(0), so the maximum is the same, bit for bit.
     |m[i, j] - conj(m[j, i])| is the same number, bit for bit, as
     |m[j, i] - conj(m[i, j])|, so only the upper triangle is visited, 32
     rows at a time: each row strip is compared with the matching column
@@ -225,6 +267,7 @@ def _max_asymmetry(m: np.ndarray) -> float:
     (inf - inf is NaN, without a warning), so ``not result <= tol`` rejects
     a non-finite matrix.
     """
+    m = _support_block(m)[1]
     out = np.float64(0.0)
     with np.errstate(invalid="ignore"):
         for i in range(0, m.shape[0], 32):
@@ -306,6 +349,17 @@ def _pick(runs: list[tuple[bool, int, list[str]]], digits: Sequence[int]) -> tup
     """
     digit = iter(digits)
     return tuple(next(digit) if inside else slice(None) for inside, _, _ in runs)
+
+
+def _pick_registers(
+    layout: SystemLayout, runs: list[tuple[bool, int, list[str]]], on: Sequence[str],
+    digits: Sequence[int],
+) -> tuple:
+    """``_pick`` with one digit per named register, in on's order, joined into each run's digit."""
+    digit = dict(zip(on, digits))
+    return _pick(runs, [
+        _digit_index(layout, ls, [digit[l] for l in ls]) for inside, _, ls in runs if inside
+    ])
 
 
 def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
@@ -513,23 +567,29 @@ def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
 def _nonzero_batches(h: np.ndarray, lower_only: bool):
     """Rows and columns of h's exactly nonzero entries, at most 2^14 at a time.
 
-    h is scanned in row strips of about 2^14 entries, or of their part up
-    to the diagonal block when lower_only, and strips are joined into one
-    batch while it stays within 2^14 entries. The strip being scanned is
-    the only other index array held, and the union-find over a batch makes
-    about a dozen arrays of the batch's size: 2.3 MB in all for a dense
-    1024-dim matrix (tracemalloc).
+    Only the block on h's support (``_support_block``) is scanned, and its
+    entries are mapped back to h's indices; the map is increasing, so the
+    block's lower triangle is h's. The block is scanned in row strips of
+    about 2^14 entries, or of their part up to the diagonal block when
+    lower_only, and strips are joined into one batch while it stays within
+    2^14 entries. The strip being scanned is the only other index array
+    held, and the union-find over a batch makes about a dozen arrays of the
+    batch's size: 2.3 MB in all for a dense 1024-dim matrix (tracemalloc).
     """
-    n = h.shape[0]
+    support, block = _support_block(h)
+    n = block.shape[0]
     step = max(1, 2**14 // n)
     rows, cols, pending = [], [], 0
     for s in range(0, n, step):
-        i, j = np.nonzero(h[s:s + step, :s + step if lower_only else n] != 0)
+        i, j = np.nonzero(block[s:s + step, :s + step if lower_only else n] != 0)
+        i += s
+        if block is not h:
+            i, j = support[i], support[j]
         if pending and pending + i.size > 2**14:
             batch = np.concatenate(rows), np.concatenate(cols)
             rows, cols, pending = [], [], 0
             yield batch
-        rows.append(i + s)
+        rows.append(i)
         cols.append(j)
         pending += i.size
     if pending:
@@ -615,9 +675,29 @@ def measure_computational(
     if not on:
         raise ValueError("need at least one register to measure")
     layout = state.layout
-    w, ungroup = _grouped(layout, state._data, on)
-    outcomes: list[MeasurementOutcome] = []
     digit_strings = itertools.product(*[range(layout.subsystem(l).dim) for l in on])
+    outcomes: list[MeasurementOutcome] = []
+    if not state.is_pure:
+        # each outcome's diagonal block is written straight into a zeroed
+        # output through a view of its runs, with no regrouped copy of rho
+        runs = _runs(layout, on)
+        shape = tuple(n for _, n, _ in runs) * 2
+        view = state.matrix.reshape(shape)
+        diag = np.diagonal(state.matrix).reshape(shape[:len(runs)])
+        for digits in digit_strings:
+            pick = _pick_registers(layout, runs, on, digits)
+            # the block's trace, summed over one contiguous copy of its
+            # diagonal, as np.trace sums it; the trailing ... keeps a view
+            # even when every run is picked
+            p = float(np.real(diag[pick + (...,)].reshape(-1).sum()))
+            if p <= prob_floor:
+                continue
+            rho = np.zeros(state.matrix.shape, dtype=np.complex128)
+            block = pick * 2 + (...,)
+            np.divide(view[block], p, out=rho.reshape(shape)[block])
+            outcomes.append(MeasurementOutcome(digits, p, _wrap(layout, rho)))
+        return outcomes
+    w, ungroup = _grouped(layout, state.vector, on)
     for k, digits in enumerate(digit_strings):
         sel, p, norm = _branch(w, k)
         if p <= prob_floor:
@@ -665,11 +745,8 @@ def project_registers(
     else:
         # copy only the kept block, as w = (1, r, 1, r), and scale it in place
         runs = _runs(layout, on)
-        digit = dict(zip(on, digits))
-        picked = [
-            _digit_index(layout, ls, [digit[l] for l in ls]) for inside, _, ls in runs if inside
-        ]
-        view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)[_pick(runs, picked) * 2]
+        pick = _pick_registers(layout, runs, on, digits)
+        view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)[pick * 2]
         w, k = np.array(view, order="C").reshape((1, new_layout.total_dim) * 2), 0
     sel, prob, norm = _branch(w, k)
     if prob <= 0.0:
@@ -697,19 +774,33 @@ def purify(
     and a matrix with an eigenvalue below -STATE_TOL is refused. A state
     already held as a vector gets a dimension-1 environment and is otherwise
     unchanged.
+
+    All of this runs on the block of rho on its support (``_support_block``),
+    the rows and columns that hold a nonzero entry, and the factor's rows
+    are then scattered into a zero (dim, rank) array: rho is zero outside
+    the block, so the block's factor, residual and spectrum are rho's. The
+    support comes from the entries, not the diagonal, so a row with a zero
+    diagonal entry and a nonzero off-diagonal one still reaches the
+    residual check. A full or empty support runs on rho itself.
     """
     label = env_label or state.layout.unique_label(ENV_PARTY)
     if state.is_pure:
         amps = state.vector[:, None]
     else:
         rho = state.matrix
-        herm = _max_asymmetry(rho)
+        support, block = _support_block(rho)
+        herm = _max_asymmetry(block)
         if not herm <= defaults.STATE_TOL:
             raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
-        amps, path = _cholesky_factor(rho, rank_eps), "factor"
+        amps, path = _cholesky_factor(block, rank_eps), "factor"
         if amps is None:
-            amps, path = _eigh_factor(rho, rank_eps), "eigh"
-        logger.debug("purify: dim %d, rank %d, path %s", rho.shape[0], amps.shape[1], path)
+            amps, path = _eigh_factor(block, rank_eps), "eigh"
+        if block is not rho:
+            factor = amps
+            amps = np.zeros((rho.shape[0], factor.shape[1]), dtype=np.complex128)
+            amps[support] = factor
+        logger.debug("purify: dim %d, support %d, rank %d, path %s",
+                     rho.shape[0], support.size, amps.shape[1], path)
     env = Subsystem(label, ENV_PARTY, "env", amps.shape[1])
     return _wrap(SystemLayout(state.layout.subsystems + (env,)), amps.reshape(-1))
 

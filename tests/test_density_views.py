@@ -1,10 +1,12 @@
-"""project_registers and partial_trace on densities against the grouped-copy formulas.
+"""Density views against the grouped-copy formulas they replaced.
 
-Both read the density through a view with one row and one column axis per
-run of adjacent registers (``states._runs``) and copy only what they keep.
-The oracles below are the formulas they replaced: regroup the whole array
-with ``states._grouped``, then take one diagonal block or trace over the
-traced axes. Outputs must be the same bytes, +0.0 zeros included.
+project_registers, partial_trace and measure_computational read a density
+through a view with one row and one column axis per run of adjacent
+registers (``states._runs``) and copy only what they keep or write. The
+oracles below are the formulas they replaced: regroup the whole array
+with ``states._grouped``, then take one diagonal block, trace over the
+traced axes, or write each outcome's block into a zeroed grouped copy.
+Outputs must be the same bytes, +0.0 zeros included.
 """
 import itertools
 import tracemalloc
@@ -30,6 +32,20 @@ def grouped_project(state, on, digits):
     return prob, (w[sel] / norm if prob > 0.0 else None)
 
 
+def grouped_measure(state, on, prob_floor=q.defaults.PROB_FLOOR):
+    w, ungroup = states._grouped(state.layout, state._data, on)
+    dims = [state.layout.subsystem(l).dim for l in on]
+    out = []
+    for k, digits in enumerate(itertools.product(*map(range, dims))):
+        sel, p, norm = states._branch(w, k)
+        if p <= prob_floor:
+            continue
+        full = np.zeros_like(w)
+        full[sel] = w[sel] / norm
+        out.append((digits, p, ungroup(full)))
+    return out
+
+
 def assert_same_as_oracles(state, subsets):
     for over in subsets:
         if state.is_pure or not over:  # both return a pure or an empty-trace input as it is
@@ -48,6 +64,14 @@ def assert_same_as_oracles(state, subsets):
                 assert post is None
             else:
                 assert post._data.tobytes() == want.tobytes(), (on, digits)
+        if np.prod(dims) > 24:  # every outcome is a full-size array; keep the count small
+            continue
+        got = q.measure_computational(state, on)
+        want = grouped_measure(state, on)
+        assert [(o.digits, o.probability) for o in got] == [w[:2] for w in want], on
+        for outcome, (_, _, post) in zip(got, want):
+            assert outcome.state.layout == state.layout
+            assert outcome.state._data.tobytes() == post.tobytes(), (on, outcome.digits)
 
 
 def seeded_fixtures():
@@ -156,3 +180,15 @@ def test_partial_trace_at_1024_makes_no_array_as_large_as_its_input():
         assert out.dim == 1024 >> len(over)
         assert peak < rho.matrix.nbytes / 2
         assert out.matrix.tobytes() == grouped_partial_trace(rho, over).tobytes()
+
+
+def test_measure_computational_at_1024_holds_only_its_outputs():
+    rho = composite_1024()
+    on = ["A1.info", "A2.info"]
+    outcomes, peak = peak_bytes(lambda: q.measure_computational(rho, on))
+    assert len(outcomes) == 4
+    assert peak <= 4.05 * rho.matrix.nbytes
+    want = grouped_measure(rho, on)
+    assert [(o.digits, o.probability) for o in outcomes] == [w[:2] for w in want]
+    for outcome, (_, _, post) in zip(outcomes, want):
+        assert outcome.state.matrix.tobytes() == post.tobytes()

@@ -157,7 +157,12 @@ def test_purify_logs_dimension_rank_and_path(caplog, example_state):
     # is not certified and the eigenvalues above 0.3 are kept
     q.purify(on_one_register(np.diag([0.5, 0.25, 0.25])), rank_eps=0.3)
     q.purify(example_state)
+    # rows 1 and 3 are zero: the support is the other three rows
+    q.purify(on_one_register(np.diag([0.5, 0.0, 0.25, 0.0, 0.25])))
+    q.purify(q.random_private_state(2, (2, 2), np.random.default_rng(6)))
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-        ("qcrkit", logging.DEBUG, "purify: dim 4, rank 3, path factor"),
-        ("qcrkit", logging.DEBUG, "purify: dim 3, rank 1, path eigh"),
+        ("qcrkit", logging.DEBUG, "purify: dim 4, support 4, rank 3, path factor"),
+        ("qcrkit", logging.DEBUG, "purify: dim 3, support 3, rank 1, path eigh"),
+        ("qcrkit", logging.DEBUG, "purify: dim 5, support 3, rank 3, path factor"),
+        ("qcrkit", logging.DEBUG, "purify: dim 16, support 8, rank 4, path factor"),
     ]
