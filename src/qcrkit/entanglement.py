@@ -19,13 +19,16 @@ the components of every cut in a ``ppt_report`` (``all_dealer_cuts_ppt``
 and ``qcr ppt`` pass their whole cut list), and only the blocks, or the
 single dense array of a one-component cut, are gathered. The walk visits
 only the block of rows and columns that hold a nonzero entry (the
-density's support, ``states._support``): a 1024-dim composite of the
-benchmark holds its 1,024 nonzero entries in a 32 x 32 block.
+density's support, ``states._support``), a strip at a time
+(``states._strips``): a 1024-dim composite of the benchmark holds its
+1,024 nonzero entries in a 32 x 32 block.
 
 A density trace distance likewise forms the difference only on the union
-of the two states' supports; the rows off it are 1 x 1 blocks of 0, and
-are counted as such. Trace distances of two pure vectors come from their
-(dim, 2) factor pair (``states._gram_difference_norm``) and log nothing.
+of the two states' supports, when that block holds at most a quarter of
+the entries (``states._copies_block``); the rows off it are 1 x 1 blocks
+of 0, and are counted as such. Trace distances of two pure vectors come
+from their (dim, 2) factor pair (``states._gram_difference_norm``) and
+log nothing.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .states import (
     QuantumState,
     _block_spectra,
     _block_spectrum,
+    _copies_block,
     _gram_difference_norm,
     _grouped,
     _support,
@@ -230,9 +234,10 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     pure operand's dim x dim projector is never built; every row off the
     union is a 1 x 1 block with eigenvalue 0, and these are added back, so
     the value, the block count and the largest block are those of the
-    whole difference. When the union is every row, the whole difference is
-    formed as before. A density call logs its path on the ``qcrkit``
-    logger at DEBUG.
+    whole difference. When the union's block would hold more than a
+    quarter of the entries (``states._copies_block``), the whole
+    difference is formed instead, as before. A density call logs its path
+    on the ``qcrkit`` logger at DEBUG.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -243,21 +248,26 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     for s in (a, b):
         mask[np.flatnonzero(s.vector) if s.is_pure else _support(s.matrix)] = True
     union = np.flatnonzero(mask)
-    if union.size in (0, a.dim):
-        vals, blocks, largest = _block_spectrum(a.density_matrix() - b.density_matrix())
-    else:
-        diff = _principal_block(a, union) - _principal_block(b, union)
-        vals, blocks, largest = _block_spectrum(diff)
-        # the difference is zero off the union: one 1 x 1 block of 0 per row
-        vals = np.sort(np.concatenate((vals, np.zeros(a.dim - union.size))))
-        blocks += a.dim - union.size
+    diff = _principal_block(a, union) - _principal_block(b, union)
+    vals, blocks, largest = _block_spectrum(diff)
+    # the difference is zero off its block: one 1 x 1 block of 0 per row left out
+    pad = a.dim - diff.shape[0]
+    vals = np.sort(np.concatenate((vals, np.zeros(pad))))
+    blocks += pad
     logger.debug("trace_distance: dim %d, path %s, blocks %d, largest %d",
                  a.dim, _path(blocks), blocks, largest)
     return float(np.abs(vals).sum())
 
 
 def _principal_block(state: QuantumState, rows: np.ndarray) -> np.ndarray:
-    """The principal block of the state's density on the given rows and columns."""
+    """The state's density on the given rows and columns, or all of it.
+
+    The principal block is formed only when ``states._copies_block`` says
+    it is worth a copy; otherwise the whole density is returned, held
+    without a copy when the state is a density.
+    """
+    if not _copies_block(rows.size, state.dim):
+        return state.density_matrix()
     if state.is_pure:
         v = state.vector[rows]
         return np.outer(v, v.conj())

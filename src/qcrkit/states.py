@@ -49,10 +49,15 @@ is zero: a 1024-dim composite holds 1,024 nonzero entries, all in a
 32 x 32 principal block. ``_support`` lists the rows or columns that hold
 an exactly nonzero entry, in one strip-wise pass over rho seen as float64
 pairs, and every entry outside support x support is zero. The Hermitian
-check (``_max_asymmetry``), ``purify`` and the nonzero walk of the block
-spectra (``_nonzero_batches``) then work on that block alone
-(``_support_block``) and map its rows back to rho's; a full or empty
-support runs on rho itself, with no copy.
+check (``_max_asymmetry``), ``purify``'s Cholesky and the nonzero walk of
+the block spectra (``_nonzero_batches``) read that block a strip at a
+time (``_strips``) and map its rows back to rho's: a block of at most
+2^16 entries, one strip's worth, is copied whole, and a larger one is
+gathered from rho strip by strip. Only the readers that need the block
+whole, ``purify``'s ``eigh`` fallback and the density trace distance,
+copy a larger block, and only when it holds at most a quarter of rho's
+entries (``_copies_block``); otherwise they read rho itself. A full
+support runs on rho itself everywhere, as before.
 """
 from __future__ import annotations
 
@@ -103,7 +108,7 @@ class QuantumState:
             if arr.shape != (dim, dim):
                 raise ValueError(f"matrix shape {arr.shape} does not match layout dim {dim}")
             if validate:
-                herm = _max_asymmetry(arr)
+                herm = _max_asymmetry(arr, _support(arr))
                 if not herm <= defaults.STATE_TOL:
                     raise ValueError(f"matrix is not Hermitian (max asymmetry {herm!r})")
                 tr = float(np.real(np.trace(arr)))
@@ -249,17 +254,44 @@ def _support(h: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rows | cols)
 
 
-def _support_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h's support (``_support``) and h's block on it: h itself when the support is full or empty."""
-    s = _support(h)
-    return s, (h if s.size in (0, h.shape[0]) else h[np.ix_(s, s)])
+def _copies_block(size: int, n: int) -> bool:
+    """Whether a reader of an n x n matrix copies its principal block of size rows.
+
+    Only when that block is nonempty and holds at most a quarter of the
+    matrix's entries: the copy and the work on it then stay below the work
+    on the matrix itself, which is read in place otherwise.
+    """
+    return 0 < 2 * size <= n
 
 
-def _max_asymmetry(m: np.ndarray) -> float:
+def _support_block(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """h's principal block on the rows and columns s when ``_copies_block``, else h itself."""
+    return h[np.ix_(s, s)] if _copies_block(s.size, h.shape[0]) else h
+
+
+def _strips(m: np.ndarray, support: np.ndarray | None) -> tuple[int, Callable]:
+    """The size of m's principal block on support, and a reader of the block's slices.
+
+    The reader takes a row slice and a column slice of the block and
+    returns that part of it: a view of m itself when support is None or
+    every row; a view of a copy of the block when it holds at most 2^16
+    entries, the size of one strip of the readers; else a gather of those
+    support rows and columns from m, so a larger block is never copied
+    whole.
+    """
+    if support is not None and support.size < m.shape[0]:
+        if support.size**2 > 2**16:
+            return support.size, lambda r, c: m[np.ix_(support[r], support[c])]
+        m = m[np.ix_(support, support)]
+    return m.shape[0], lambda r, c: m[r, c]
+
+
+def _max_asymmetry(m: np.ndarray, support: np.ndarray | None = None) -> float:
     """max |m - m^dag| over all entries, without a dim x dim temporary.
 
-    Only the block on m's support (``_support_block``) is read: every pair
-    outside it is 0 - conj(0), so the maximum is the same, bit for bit.
+    Given m's support (``_support``), only the block on it is read, a strip
+    at a time (``_strips``): every pair outside it is 0 - conj(0), so the
+    maximum is the same, bit for bit.
     |m[i, j] - conj(m[j, i])| is the same number, bit for bit, as
     |m[j, i] - conj(m[i, j])|, so only the upper triangle is visited, 32
     rows at a time: each row strip is compared with the matching column
@@ -267,12 +299,12 @@ def _max_asymmetry(m: np.ndarray) -> float:
     (inf - inf is NaN, without a warning), so ``not result <= tol`` rejects
     a non-finite matrix.
     """
-    m = _support_block(m)[1]
+    n, part = _strips(m, support)
     out = np.float64(0.0)
     with np.errstate(invalid="ignore"):
-        for i in range(0, m.shape[0], 32):
-            d = m[i:, i:i + 32].T.conj()
-            np.subtract(m[i:i + 32, i:], d, out=d)
+        for i in range(0, n, 32):
+            d = part(slice(i, None), slice(i, i + 32)).T.conj()
+            np.subtract(part(slice(i, i + 32), slice(i, None)), d, out=d)
             out = np.maximum(out, np.max(np.abs(d)))
     return float(out)
 
@@ -567,23 +599,23 @@ def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
 def _nonzero_batches(h: np.ndarray, lower_only: bool):
     """Rows and columns of h's exactly nonzero entries, at most 2^14 at a time.
 
-    Only the block on h's support (``_support_block``) is scanned, and its
-    entries are mapped back to h's indices; the map is increasing, so the
-    block's lower triangle is h's. The block is scanned in row strips of
-    about 2^14 entries, or of their part up to the diagonal block when
-    lower_only, and strips are joined into one batch while it stays within
-    2^14 entries. The strip being scanned is the only other index array
-    held, and the union-find over a batch makes about a dozen arrays of the
+    Only the block on h's support (``_support``) is scanned, strip by strip
+    (``_strips``), and its entries are mapped back to h's indices; the map
+    is increasing, so the block's lower triangle is h's. The strips hold
+    about 2^14 entries, or their part up to the diagonal block when
+    lower_only, and are joined into one batch while it stays within 2^14
+    entries. The strip being scanned is the only other index array held,
+    and the union-find over a batch makes about a dozen arrays of the
     batch's size: 2.3 MB in all for a dense 1024-dim matrix (tracemalloc).
     """
-    support, block = _support_block(h)
-    n = block.shape[0]
-    step = max(1, 2**14 // n)
+    support = _support(h)
+    n, part = _strips(h, support)
+    step = max(1, 2**14 // max(n, 1))
     rows, cols, pending = [], [], 0
     for s in range(0, n, step):
-        i, j = np.nonzero(block[s:s + step, :s + step if lower_only else n] != 0)
+        i, j = np.nonzero(part(slice(s, s + step), slice(0, s + step if lower_only else n)) != 0)
         i += s
-        if block is not h:
+        if n < h.shape[0]:
             i, j = support[i], support[j]
         if pending and pending + i.size > 2**14:
             batch = np.concatenate(rows), np.concatenate(cols)
@@ -775,27 +807,31 @@ def purify(
     already held as a vector gets a dimension-1 environment and is otherwise
     unchanged.
 
-    All of this runs on the block of rho on its support (``_support_block``),
-    the rows and columns that hold a nonzero entry, and the factor's rows
-    are then scattered into a zero (dim, rank) array: rho is zero outside
-    the block, so the block's factor, residual and spectrum are rho's. The
-    support comes from the entries, not the diagonal, so a row with a zero
-    diagonal entry and a nonzero off-diagonal one still reaches the
-    residual check. A full or empty support runs on rho itself.
+    The Hermitian check, the Cholesky and its residual check read only
+    the block of rho on its support, the rows and columns that hold a
+    nonzero entry, a strip at a time; the ``eigh`` fallback copies that
+    block when it holds at most a quarter of rho's entries
+    (``_copies_block``), and runs on rho otherwise. A factor of the block
+    has its rows scattered into a zero (dim, rank) array: rho is zero
+    outside the block, so the block's factor, residual and spectrum are
+    rho's. The support comes from the entries, not the diagonal, so a row
+    with a zero diagonal entry and a nonzero off-diagonal one still
+    reaches the residual check. A full support runs on rho itself, as
+    before.
     """
     label = env_label or state.layout.unique_label(ENV_PARTY)
     if state.is_pure:
         amps = state.vector[:, None]
     else:
         rho = state.matrix
-        support, block = _support_block(rho)
-        herm = _max_asymmetry(block)
+        support = _support(rho)
+        herm = _max_asymmetry(rho, support)
         if not herm <= defaults.STATE_TOL:
             raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
-        amps, path = _cholesky_factor(block, rank_eps), "factor"
+        amps, path = _cholesky_factor(rho, rank_eps, support), "factor"
         if amps is None:
-            amps, path = _eigh_factor(block, rank_eps), "eigh"
-        if block is not rho:
+            amps, path = _eigh_factor(_support_block(rho, support), rank_eps), "eigh"
+        if amps.shape[0] < rho.shape[0]:  # the factor's rows are the support's
             factor = amps
             amps = np.zeros((rho.shape[0], factor.shape[1]), dtype=np.complex128)
             amps[support] = factor
@@ -805,15 +841,20 @@ def purify(
     return _wrap(SystemLayout(state.layout.subsystems + (env,)), amps.reshape(-1))
 
 
-def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:
+def _cholesky_factor(
+    rho: np.ndarray, rank_eps: float, support: np.ndarray | None = None
+) -> np.ndarray | None:
     """A (dim, rank) factor of rho by pivoted Cholesky, or None if uncertified.
 
     Costs O(dim^2 rank): one column per unit of rank, then the residual
     check ||rho - A A^dag||_F <= STATE_TOL in row blocks, so no dim x dim
     array is formed. None also stands for a numerically zero matrix.
+    Given rho's support (``_support``), only the block on it is read, a
+    strip at a time (``_strips``), and the factor has the support's rows.
     """
-    dim = rho.shape[0]
-    resid = np.real(np.diagonal(rho)).copy()
+    dim, part = _strips(rho, support)
+    resid = np.real(np.diagonal(rho))
+    resid = resid.copy() if dim == rho.shape[0] else resid[support]
     cols = np.empty((min(dim, 16), dim), dtype=np.complex128)  # rows are A's columns
     r = 0
     while r < dim:
@@ -823,7 +864,8 @@ def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:
             break
         if r == len(cols):
             cols = np.concatenate((cols, np.empty_like(cols)))[:dim]
-        col = (rho[:, j] - cols[:r].T @ cols[:r, j].conj()) / np.sqrt(d)
+        column = part(slice(None), slice(j, j + 1))[:, 0]
+        col = (column - cols[:r].T @ cols[:r, j].conj()) / np.sqrt(d)
         cols[r] = col
         resid -= col.real**2 + col.imag**2
         r += 1
@@ -837,7 +879,7 @@ def _cholesky_factor(rho: np.ndarray, rank_eps: float) -> np.ndarray | None:
         # at full rank no conjugated copy of the whole factor is made
         e = a[s:s + step].conj() @ a.T
         np.conjugate(e, out=e)
-        e -= rho[s:s + step]
+        e -= part(slice(s, s + step), slice(None))
         err2 += float(np.real(np.vdot(e, e)))
     return a if np.sqrt(err2) <= defaults.STATE_TOL else None
 

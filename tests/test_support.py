@@ -9,6 +9,7 @@ run on all of rho, and the block spectrum of the whole difference.
 """
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,14 +88,20 @@ def test_support_of_the_special_cases():
     assert states._support(cases["full support, diagonal"]).size == 300
 
 
-def test_support_block_is_the_input_when_full_or_empty():
+def test_support_block_is_copied_only_when_it_holds_a_quarter_of_the_entries():
     cases = support_cases()
     for name in ("zero matrix", "full support, dense", "full support, diagonal"):
         m = cases[name]
-        assert states._support_block(m)[1] is m
+        assert states._support_block(m, states._support(m)) is m
     m = cases["sparse hermitian"]
-    s, block = states._support_block(m)
-    np.testing.assert_array_equal(block, m[np.ix_(s, s)])
+    s = states._support(m)
+    np.testing.assert_array_equal(states._support_block(m, s), m[np.ix_(s, s)])
+    # at half the rows the block is a quarter of the entries; one row more reads m
+    m = np.eye(10, dtype=complex)
+    assert states._support_block(m, np.arange(5)).shape == (5, 5)
+    assert states._support_block(m, np.arange(6)) is m
+    assert [states._copies_block(k, 10) for k in (0, 1, 5, 6, 10)] == [
+        False, True, True, False, False]
 
 
 def test_max_asymmetry_on_sparse_matrices_equals_the_dense_expression():
@@ -105,12 +112,36 @@ def test_max_asymmetry_on_sparse_matrices_equals_the_dense_expression():
         m = sparse_matrix(rng, n, rows, hermitian=bool(k % 2))
         if k % 3 == 0:  # a small asymmetric part, on other rows
             m = m + 1e-12 * sparse_matrix(rng, n, rows, hermitian=False)
-        assert states._max_asymmetry(m) == float(np.max(np.abs(m - m.conj().T)))
+        want = float(np.max(np.abs(m - m.conj().T)))
+        assert states._max_asymmetry(m, states._support(m)) == want
+        assert states._max_asymmetry(m) == want
     for name, m in support_cases().items():
         with np.errstate(invalid="ignore"):  # inf - inf
             want = float(np.max(np.abs(m - m.conj().T)))
-        got = states._max_asymmetry(m)
+        got = states._max_asymmetry(m, states._support(m))
         assert got == want or (np.isnan(got) and np.isnan(want)), name
+
+
+def test_a_block_larger_than_a_strip_is_gathered_to_the_same_values():
+    # 300 and 700 support rows hold more than 2^16 block entries, so the
+    # readers gather strips from m instead of copying the block
+    rng = np.random.default_rng(1509)
+    for n, rows in ((700, 300), (1024, 700)):
+        m = sparse_matrix(rng, n, rows, hermitian=False)
+        s = states._support(m)
+        assert s.size**2 > 2**16 and s.size < n
+        want = float(np.max(np.abs(m - m.conj().T)))
+        assert states._max_asymmetry(m, s) == want
+        assert states._max_asymmetry(m[np.ix_(s, s)]) == want
+        x = np.zeros((n, n), dtype=complex)
+        x[np.ix_(s, s)] = q.random_density(s.size, rng, rank=3)
+        factor = states._cholesky_factor(x, defaults.RANK_EPS, s)
+        block = states._cholesky_factor(x[np.ix_(s, s)], defaults.RANK_EPS)
+        assert factor.tobytes() == block.tobytes()
+        a = q.purify(on_one_register(x)).vector.reshape(n, -1)
+        assert a.shape == (n, 3)
+        np.testing.assert_array_equal(a[s], factor)
+        assert not np.delete(a, s, axis=0).any()
 
 
 def on_one_register(matrix):
@@ -271,11 +302,52 @@ def test_nonzero_batches_cover_every_entry_once_in_full_indices():
 def test_components_on_a_sparse_matrix_match_its_dense_support_walk():
     rng = np.random.default_rng(1507)
     h = sparse_matrix(rng, 500, 60, hermitian=True)
-    s, block = states._support_block(h)
+    s = states._support(h)
     assert 0 < s.size < 500
+    block = h[np.ix_(s, s)]
     # roots in the block, mapped back, against the roots over all of h;
     # rows off the support are their own roots
     inner = states._components(block)
     want = np.arange(500)
     want[s] = s[inner]
     np.testing.assert_array_equal(states._components(h), want)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_near_full_support_is_read_in_place():
+    # a support of 1023 of 1024 rows, or of half of them, is read through
+    # strips or in place: no reader copies a block that the same reader on
+    # a full-support density, or the whole difference, would not
+    rng = np.random.default_rng(1508)
+
+    def embedded(keep):
+        m = np.zeros((1024, 1024), dtype=complex)
+        s = np.sort(rng.choice(1024, size=keep, replace=False))
+        m[np.ix_(s, s)] = q.random_density(keep, rng, rank=4)
+        return on_one_register(m)
+
+    def peaks(a):
+        rho = a.matrix
+        return [
+            traced_peak(lambda: states._max_asymmetry(rho, states._support(rho))),
+            traced_peak(lambda: q.purify(a)),
+            traced_peak(lambda: [None for _ in states._nonzero_batches(rho, False)]),
+        ]
+
+    full = peaks(embedded(1024))
+    slack = 0.1 * 1024**2 * 16  # a tenth of one density
+    for keep in (1023, 512):
+        a, b = embedded(keep), embedded(keep)
+        assert 0 < states._support(a.matrix).size < 1024
+        for got, want in zip(peaks(a), full):
+            assert got <= want + slack, keep
+        whole = traced_peak(lambda: states._block_spectrum(a.matrix - b.matrix))
+        assert traced_peak(lambda: q.trace_distance(a, b)) <= whole + slack, keep
