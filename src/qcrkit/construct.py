@@ -229,7 +229,9 @@ def _fill_support(
                 strings[:, k].reshape(shape) for k in range(n_info)
             ]
         view[tuple(idx)] = weight * block(*digits).reshape(view.shape[1::2])
-    return _wrap(layout, data)
+    # the support lies on the S0 strings, with every shield digit
+    on = _digit_sum_mask(n_info, 0, d).reshape(tuple(x for _ in range(n_info) for x in (d, 1)))
+    return _wrap(layout, data, np.flatnonzero(np.broadcast_to(on, layout.dims)))
 
 
 def build_twisted_qcr(

@@ -18,17 +18,17 @@ through its index map, one walk over the density's nonzero entries finds
 the components of every cut in a ``ppt_report`` (``all_dealer_cuts_ppt``
 and ``qcr ppt`` pass their whole cut list), and only the blocks, or the
 single dense array of a one-component cut, are gathered. The walk visits
-only the block of rows and columns that hold a nonzero entry (the
-density's support, ``states._support``), a strip at a time
-(``states._strips``): a 1024-dim composite of the benchmark holds its
-1,024 nonzero entries in a 32 x 32 block.
+only the block of rows and columns that hold a nonzero entry, the
+support that the density carries from when it was made
+(``states.QuantumState``), a strip at a time (``states._strips``): a
+1024-dim composite of the benchmark holds its 1,024 nonzero entries in a
+32 x 32 block.
 
 A density trace distance likewise forms the difference only on the union
-of the two states' supports, when that block holds at most a quarter of
-the entries (``states._copies_block``); the rows off it are 1 x 1 blocks
-of 0, and are counted as such. Trace distances of two pure vectors come
-from their (dim, 2) factor pair (``states._gram_difference_norm``) and
-log nothing.
+of the two states' supports, a strip of rows at a time; the rows off it
+are 1 x 1 blocks of 0, and are counted as such. Trace distances of two
+pure vectors come from their (dim, 2) factor pair
+(``states._gram_difference_norm``) and log nothing.
 """
 from __future__ import annotations
 
@@ -45,10 +45,10 @@ from .states import (
     QuantumState,
     _block_spectra,
     _block_spectrum,
-    _copies_block,
     _gram_difference_norm,
     _grouped,
-    _support,
+    _mask,
+    _rows,
     _transpose_shift,
 )
 
@@ -167,7 +167,8 @@ def ppt_report(
         shifts = np.array([_transpose_shift(layout, cut.side_two) for cut in cuts],
                           dtype=np.intp).reshape(len(cuts), state.dim)
         mins = []
-        for cut, (vals, blocks, largest) in zip(cuts, _block_spectra(state.matrix, shifts)):
+        spectra = _block_spectra(state.matrix, shifts, state._support)
+        for cut, (vals, blocks, largest) in zip(cuts, spectra):
             logger.debug("ppt: side two %s, dim %d, path %s, blocks %d, largest %d",
                          ",".join(cut.side_two), state.dim, _path(blocks), blocks, largest)
             mins.append(float(vals[0]))
@@ -230,28 +231,22 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     components (path ``blocks``), else by one dense ``eigvalsh`` (path
     ``dense``), about half the cost of the SVD in ``trace_norm``. The
     difference is formed only on the union of the two supports (a pure
-    vector's nonzero amplitudes, a density's ``states._support``), so a
-    pure operand's dim x dim projector is never built; every row off the
-    union is a 1 x 1 block with eigenvalue 0, and these are added back, so
-    the value, the block count and the largest block are those of the
-    whole difference. When the union's block would hold more than a
-    quarter of the entries (``states._copies_block``), the whole
-    difference is formed instead, as before. A density call logs its path
-    on the ``qcrkit`` logger at DEBUG.
+    vector's nonzero amplitudes, a density's support), a strip of rows at
+    a time, so a pure operand's dim x dim projector is never built; every
+    row off the union is a 1 x 1 block with eigenvalue 0, and these are
+    added back, so the value, the block count and the largest block are
+    those of the whole difference. A density call logs its path on the
+    ``qcrkit`` logger at DEBUG.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_pure and b.is_pure:
         return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
-    # the union of the two supports, as a mask: np.union1d imports numpy.ma
-    mask = np.zeros(a.dim, dtype=bool)
-    for s in (a, b):
-        mask[np.flatnonzero(s.vector) if s.is_pure else _support(s.matrix)] = True
-    union = np.flatnonzero(mask)
-    diff = _principal_block(a, union) - _principal_block(b, union)
-    vals, blocks, largest = _block_spectrum(diff)
+    # the union as a mask: np.union1d imports numpy.ma
+    union = np.flatnonzero(_mask(a.dim, _rows(a)) | _mask(a.dim, _rows(b)))
+    vals, blocks, largest = _block_spectrum(_difference(a, b, union))
     # the difference is zero off its block: one 1 x 1 block of 0 per row left out
-    pad = a.dim - diff.shape[0]
+    pad = a.dim - union.size
     vals = np.sort(np.concatenate((vals, np.zeros(pad))))
     blocks += pad
     logger.debug("trace_distance: dim %d, path %s, blocks %d, largest %d",
@@ -259,16 +254,13 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     return float(np.abs(vals).sum())
 
 
-def _principal_block(state: QuantumState, rows: np.ndarray) -> np.ndarray:
-    """The state's density on the given rows and columns, or all of it.
-
-    The principal block is formed only when ``states._copies_block`` says
-    it is worth a copy; otherwise the whole density is returned, held
-    without a copy when the state is a density.
-    """
-    if not _copies_block(rows.size, state.dim):
-        return state.density_matrix()
-    if state.is_pure:
-        v = state.vector[rows]
-        return np.outer(v, v.conj())
-    return state.matrix[np.ix_(rows, rows)]
+def _difference(a: QuantumState, b: QuantumState, rows: np.ndarray) -> np.ndarray:
+    """a's density minus b's on the given rows and columns, gathered a strip of rows at a time."""
+    if rows.size == a.dim:
+        return a.density_matrix() - b.density_matrix()
+    out = np.empty((rows.size,) * 2, dtype=np.complex128)
+    step = max(1, 2**16 // max(rows.size, 1))
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step]
+        out[s:s + step] = a._entries(r, rows) - b._entries(r, rows)
+    return out

@@ -2,15 +2,20 @@
 
 reduce: a dishonest subset measures its info registers and announces the
 digits; the dealer shifts its own register by the announced digit sum and
-the remaining parties are left holding a smaller resource state.
+the remaining parties are left holding a smaller resource state. The
+projection and the trace over the measured players' shields are one step
+(``states._project_trace``), which copies no block of a density.
 
 compose: the dealer merges two resource states it shares with disjoint
 player groups by adding one info register into the other (modular
 controlled addition), after which the absorbed register joins the dealer's
 shield. The addition and the register reorder that follows only permute
 basis states, so every entry of the result is one product of an entry of
-a and an entry of b, written once into the merged order
-(``_merged_product``); kron(a, b) itself is never formed.
+a and an entry of b. Only the products of the two inputs' support blocks,
+which each state carries (``states.QuantumState``), are written, once
+each, into a zeroed output in the merged order (``_merged_product``);
+kron(a, b) is never formed, and only the image of the supports is
+scanned for the output's support.
 
 expand_from_private: left fold of compose over a list of two-party states.
 """
@@ -27,11 +32,11 @@ from .registers import DEALER, ENV_PARTY, SystemLayout, digit_sum, labeled_layou
 from .states import (
     QuantumState,
     _check_cap,
+    _project_trace,
+    _rows,
     _wrap,
     apply_unitary,
     measurement_distribution,
-    partial_trace,
-    project_registers,
 )
 from .verify import CoalitionSpec, VerificationReport, is_qcr
 
@@ -177,14 +182,13 @@ def reduce(
     dealer_info = layout.info_label(DEALER)
     results = []
     for digits in candidates:
-        prob, post = project_registers(state, measured, digits)
+        prob, post = _project_trace(state, measured, tuple(digits), shields)
         digits = tuple(int(x) for x in digits)
         if prob <= defaults.PROB_FLOOR:
             if outcome is not None:
                 raise ValueError(f"outcome {digits} has zero probability")
             continue
         beta = digit_sum(digits, d)
-        post = partial_trace(post, shields)
         corrected = beta != 0
         if corrected:
             post = apply_unitary(post, shift_matrix(d, beta), [dealer_info])
@@ -215,11 +219,8 @@ def compose(
     controlled addition, target on a's side); b's dealer info register is
     then reclassified as a dealer shield, players are renumbered A1..A_{N+M}
     (a's first), and the relabeling is recorded. Addition and reorder are
-    one basis permutation of kron(a, b), so each entry of the result is the
-    product a[alpha_i, alpha_j] * b[beta_i, beta_j] that kron(a, b) holds
-    for it; these products are written straight into one array in the
-    merged order, and kron(a, b) is never formed. cap is checked before
-    that array is allocated.
+    one basis permutation of kron(a, b), written straight into one array
+    (``_merged_product``); cap is checked before that array is allocated.
     """
     a.layout.require_crypto_form()
     b.layout.require_crypto_form()
@@ -259,9 +260,7 @@ def compose(
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
     _check_cap(a.dim * b.dim, cap)
-    data = _merged_product(a, b, [i for i, _, _ in merged], target, control)
-    # a product can be -0.0 (0 * -x); make it +0.0, since qcr-state/1 writes the sign
-    data += 0.0
+    data, rows = _merged_product(a, b, [i for i, _, _ in merged], target, control)
 
     record = CompositionRecord(
         qudit_dim=d,
@@ -273,56 +272,55 @@ def compose(
         relabel_a=relabel_a,
         relabel_b=relabel_b,
     )
-    return _wrap(layout, data), record
+    return _wrap(layout, data, rows), record
 
 
 def _merged_product(
     a: QuantumState, b: QuantumState, order: list[int], target: int, control: int
-) -> np.ndarray:
-    """kron(a, b) after the controlled addition, in merged register order, written once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """kron(a, b) after the controlled addition, in merged register order, and its rows.
 
-    order lists each merged register's position in kron(a, b). Entry
-    (i, j) of the result is a[alpha_i, alpha_j] * b[beta_i, beta_j], where
-    beta is read off the merged digits and alpha likewise, except that a's
-    target digit is the merged one minus b's control digit, mod d. The
-    result is allocated once and seen as one axis per register of
-    dimension > 1, transposed into kron(a, b) order; a and b are seen the
-    same way, each with unit axes for the other side's registers. Under
-    control digit c the addition shifts a's target digit cyclically by c,
-    which is two slices: merged target digits c..d-1 come from a's
-    0..d-c-1, and 0..c-1 from a's d-c..d-1. One multiply per pair of row
-    and column pieces (per piece for a vector) fills its part of the
-    result, so every entry is computed once, as the product kron(a, b)
-    holds for it.
+    order lists each merged register's position in kron(a, b). Rows alpha
+    of a and beta of b meet in merged row m: the digits of (alpha, beta) in
+    merged order, a's target digit plus b's control digit, mod d, in the
+    target's place. Only the two supports' rows (``states._rows``) are
+    mapped, and a[alpha_i, alpha_j] * b[beta_i, beta_j] is written at
+    (m_i, m_j) of a zeroed output, +0.0 for -0.0 since qcr-state/1 writes
+    the sign, about 2^16 products at a time. Returns the output and the
+    mapped rows, ascending.
     """
-    pure = a.is_pure and b.is_pure
-    xa, xb = (s.vector if pure else s.density_matrix() for s in (a, b))
+    ra, rb = _rows(a), _rows(b)
     dims = a.dims + b.dims
-    axis = {i: k for k, i in enumerate(i for i in range(len(dims)) if dims[i] > 1)}
-    merged_axes = [axis[i] for i in order if i in axis]
-    n, k = len(axis), xa.ndim
-    # perm[m]: the output axis that holds kron(a, b) axis m
-    perm = sorted(range(n), key=merged_axes.__getitem__)
-    shape = tuple(dims[i] for i in axis)
-    n_a = sum(1 for i in axis if i < len(a.dims))
-    unit = (1,) * n
-    data = np.empty((a.dim * b.dim,) * k, dtype=np.complex128)
-    out = data.reshape(tuple(shape[m] for m in merged_axes) * k)
-    out = out.transpose(perm + [p + n for p in perm] if k == 2 else perm)
-    xa = xa.reshape((shape[:n_a] + unit[n_a:]) * k)
-    xb = xb.reshape((unit[:n_a] + shape[n_a:]) * k)
-    d = dims[target]
-    pieces = [(c, slice(c, d), slice(0, d - c)) for c in range(d)]
-    pieces += [(c, slice(0, c), slice(d - c, d)) for c in range(1, d)]
-    every = [slice(None)] * (n * k)
-    for chosen in itertools.product(pieces, repeat=k):
-        io, ia, ib = list(every), list(every), list(every)
-        for side, (c, merged_t, a_t) in enumerate(chosen):
-            t, ctl = axis[target] + side * n, axis[control] + side * n
-            io[t], ia[t] = merged_t, a_t
-            io[ctl] = ib[ctl] = slice(c, c + 1)
-        np.multiply(xa[tuple(ia)], xb[tuple(ib)], out=out[tuple(io)])
-    return data
+    stride, left = {}, a.dim * b.dim
+    for i in order:
+        left //= dims[i]
+        stride[i] = left
+    # per side, each support row's merged index without a's target digit;
+    # the digits of a's target and of b's control
+    parts, digit = [], {}
+    for rows, lo, hi, left in ((ra, 0, len(a.dims), a.dim), (rb, len(a.dims), len(dims), b.dim)):
+        m = np.zeros_like(rows)
+        for i in range(lo, hi):
+            left //= dims[i]
+            if dims[i] > 1:
+                digit[i] = rows // left % dims[i]
+                m += 0 if i == target else digit[i] * stride[i]
+        parts.append(m)
+    shifted = (digit[target][:, None] + digit[control]) % dims[target]
+    idx = (parts[0][:, None] + parts[1] + stride[target] * shifted).reshape(-1)
+    if a.is_pure and b.is_pure:
+        data = np.zeros(a.dim * b.dim, dtype=np.complex128)
+        data[idx] = np.multiply.outer(a.vector[ra], b.vector[rb]).reshape(-1) + 0.0
+        return data, np.sort(idx)
+    xa, xb = a._entries(ra, ra), b._entries(rb, rb)
+    data = np.zeros((a.dim * b.dim,) * 2, dtype=np.complex128)
+    step = max(1, 2**16 // max(idx.size, 1))
+    for s in range(0, idx.size, step):
+        i, j = np.divmod(np.arange(s, min(s + step, idx.size)), rb.size)
+        block = (xa[i][:, :, None] * xb[j][:, None, :]).reshape(i.size, -1)
+        block += 0.0
+        data[np.ix_(idx[s:s + step], idx)] = block
+    return data, np.sort(idx)
 
 
 def expand_from_private(

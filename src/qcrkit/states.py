@@ -8,56 +8,38 @@ largest composed fixtures fast. A density is purified by a pivoted
 Cholesky factor, at a cost of dim^2 x rank, and is eigendecomposed only
 when that factor fails its residual check.
 
-Axis convention: arrays are flat, in layout order. An operation that
-keeps only part of a density reads it through a view: ``_runs`` cuts the
-registers into runs of adjacent ones that are all named or all not, and
-the density reshaped to one row and one column axis per run is indexed in
-place. ``project_registers`` copies only the kept block and
-``partial_trace`` adds up only the traced diagonal blocks. Operations on
-vectors, and those that write the whole array, go through ``_grouped``,
-which moves the named registers to the front of a vector, as ``(g, r)``,
-or of a matrix, as ``(g, r, g, r)``, and hands back the map to flat layout
-order. Either way dimension-1 registers carry no axis, so the register
-count sets no ceiling, and no einsum label limit applies.
-
-One block loop, ``_apply_blocks``, applies unitaries to vectors and
-densities alike: each block multiplies its rows of the grouped array and
-then, for a density, its columns by the block's adjoint. Permutation
-blocks, such as the dealer's shift, keep dyadic entries exact, and every
-zero comes out as +0.0.
-
-Trace norms of Gram differences, ||A A^dag - B B^dag||_1, come from the
-factors (``_gram_difference_norm``): on the QR triangle of [A B] when the
-factors have fewer columns than rows, else on the dense difference. The
-public ``trace_norm`` stays a full SVD; tests use it as the oracle.
+Axis convention: arrays are flat, in layout order. A density is read
+through a view: ``_runs`` cuts the registers into runs of adjacent ones in
+one group (picked, traced or kept), and the density reshaped to one row
+and one column axis per run is indexed in place, so ``_project_trace``
+(``project_registers``, ``partial_trace``, and ``reduce``'s pair of them)
+copies no block of its input. Vectors, and operations that write the
+whole array, go through ``_grouped``, which moves the named registers to
+the front. Dimension-1 registers carry no axis either way, so the register
+count sets no ceiling.
 
 Spectra of sparse Hermitian matrices, such as partial transposes and
 differences of states with a cryptographic layout, come block by block
-(``_block_spectrum``): the exactly nonzero entries split the matrix into
-connected components, and components of equal size are solved in one
-batched ``eigvalsh``. A matrix with one component is solved densely.
-Partial transposes are never copied for this: ``_block_spectra`` reads
-each one from rho through an index map (``_transpose_shift``), finds the
-components of every cut's transpose in one walk over rho's nonzero
-entries, and gathers only the blocks, or the one dense array of a cut
-with a single component. ``partial_transpose`` stays as the public form
-and as the tests' oracle.
+(``_block_spectra``): the exactly nonzero entries split the matrix into
+connected components, found for every cut's partial transpose in one walk
+over rho through an index map (``_transpose_shift``), so no transpose is
+copied. ``trace_norm`` and ``partial_transpose`` stay as the public forms
+and the tests' oracles.
 
-A density is read only on its support. The resource states are supported
-on digit-sum-zero info strings, so nearly every entry of their densities
-is zero: a 1024-dim composite holds 1,024 nonzero entries, all in a
-32 x 32 principal block. ``_support`` lists the rows or columns that hold
-an exactly nonzero entry, in one strip-wise pass over rho seen as float64
-pairs, and every entry outside support x support is zero. The Hermitian
-check (``_max_asymmetry``), ``purify``'s Cholesky and the nonzero walk of
-the block spectra (``_nonzero_batches``) read that block a strip at a
-time (``_strips``) and map its rows back to rho's: a block of at most
-2^16 entries, one strip's worth, is copied whole, and a larger one is
-gathered from rho strip by strip. Only the readers that need the block
-whole, ``purify``'s ``eigh`` fallback and the density trace distance,
-copy a larger block, and only when it holds at most a quarter of rho's
-entries (``_copies_block``); otherwise they read rho itself. A full
-support runs on rho itself everywhere, as before.
+A density carries its support: the ascending rows or columns that hold an
+exactly nonzero entry; every entry off support x support is zero. The
+resource states are supported on digit-sum-zero info strings, so a
+1024-dim composite holds its 1,024 nonzero entries in a 32 x 32 block.
+The support is fixed when the state is made, in the private field
+``_support``: the constructor scans the whole matrix (``_support``), and
+an operation's output (``_wrap``) at most the block on the rows that its
+producer knows can be nonzero, so the field is exact even where a product
+underflows to 0. With ``copy=False`` the constructor takes the caller's
+buffer over, read-only; writing to it through another reference leaves
+the field stale. Every reader takes the field: the Hermitian check,
+``purify``, the PPT walk and the density trace distance read only the
+support block, a strip at a time (``_strips``), and ``compose`` writes
+only the products of its inputs' support blocks.
 """
 from __future__ import annotations
 
@@ -88,11 +70,11 @@ class QuantumState:
     ) -> None:
         if (vector is None) == (matrix is None):
             raise ValueError("provide exactly one of vector= or matrix=")
-        self.layout = layout
         dim = layout.total_dim
         # copy=False converts only what is not complex128 already (np.array's
-        # copy=False would raise for it)
+        # copy=False would raise for it), and hands the buffer over
         as_complex = np.array if copy else np.asarray
+        support = None
         if vector is not None:
             arr = as_complex(vector, dtype=np.complex128)
             if arr.shape != (dim,):
@@ -101,21 +83,26 @@ class QuantumState:
                 norm2 = float(np.real(np.vdot(arr, arr)))
                 if not abs(norm2 - 1.0) <= defaults.STATE_TOL:
                     raise ValueError(f"vector norm^2 = {norm2!r}, expected 1 within tolerance")
-            self._vector: np.ndarray | None = arr
-            self._matrix: np.ndarray | None = None
         else:
             arr = as_complex(matrix, dtype=np.complex128)
             if arr.shape != (dim, dim):
                 raise ValueError(f"matrix shape {arr.shape} does not match layout dim {dim}")
+            support = _support(arr)
             if validate:
-                herm = _max_asymmetry(arr, _support(arr))
+                herm = _max_asymmetry(arr, support)
                 if not herm <= defaults.STATE_TOL:
                     raise ValueError(f"matrix is not Hermitian (max asymmetry {herm!r})")
                 tr = float(np.real(np.trace(arr)))
                 if not abs(tr - 1.0) <= defaults.STATE_TOL:
                     raise ValueError(f"matrix trace = {tr!r}, expected 1 within tolerance")
-            self._vector = None
-            self._matrix = arr
+        self._hold(layout, arr, support)
+
+    def _hold(self, layout: SystemLayout, arr: np.ndarray, support: np.ndarray | None) -> None:
+        """Bind layout and arr, made read-only, with a density's support (None for a vector)."""
+        self.layout = layout
+        self._vector: np.ndarray | None = arr if arr.ndim == 1 else None
+        self._matrix: np.ndarray | None = None if arr.ndim == 1 else arr
+        self._support = support
         arr.setflags(write=False)
 
     # -- representation ------------------------------------------------
@@ -159,7 +146,16 @@ class QuantumState:
     def to_density(self) -> QuantumState:
         if self._matrix is not None:
             return self
-        return _wrap(self.layout, self.density_matrix())
+        rows = _product_rows(np.flatnonzero(self._vector), self._vector)
+        state = _wrap(self.layout, self.density_matrix(), rows)
+        logger.debug("to_density: dim %d, support %d", self.dim, state._support.size)
+        return state
+
+    def _entries(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The density's entries on rows r and columns c, without a vector's whole projector."""
+        if self._matrix is not None:
+            return self._matrix[np.ix_(r, c)]
+        return np.outer(self._vector[r], self._vector[c].conj())
 
     def purity(self) -> float:
         if self._vector is not None:
@@ -180,7 +176,9 @@ class QuantumState:
             raise ValueError("label_order must be a permutation of the layout labels")
         new_layout = SystemLayout(tuple(self.layout.subsystem(l) for l in label_order))
         grouped, _ = _grouped(self.layout, self._data, label_order)
-        return _wrap(new_layout, grouped.reshape(self._data.shape))
+        rows = None if self.is_pure else np.flatnonzero(
+            _grouped(self.layout, _mask(self.dim, self._support), label_order)[0])
+        return _wrap(new_layout, grouped.reshape(self._data.shape), rows)
 
     def relabeled(self, mapping: dict[str, str]) -> QuantumState:
         """Rename registers without touching the data."""
@@ -192,7 +190,7 @@ class QuantumState:
             raise ValueError(
                 f"layout dims {new_layout.dims} incompatible with state dims {self.layout.dims}"
             )
-        return _wrap(new_layout, self._data)
+        return _wrap(new_layout, self._data, self._support)
 
     @classmethod
     def basis_state(cls, layout: SystemLayout, digits: Sequence[int]) -> QuantumState:
@@ -221,7 +219,8 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
     if a.is_pure and b.is_pure:
         return _wrap(layout, np.kron(a.vector, b.vector))
-    return _wrap(layout, np.kron(a.density_matrix(), b.density_matrix()))
+    rows = _product_rows((_rows(a)[:, None] * b.dim + _rows(b)).reshape(-1), a._data, b._data)
+    return _wrap(layout, np.kron(a.density_matrix(), b.density_matrix()), rows)
 
 
 def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) -> None:
@@ -231,53 +230,52 @@ def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) 
         raise error(f"state dimension {dim} exceeds cap {limit}")
 
 
-def _support(h: np.ndarray) -> np.ndarray:
+def _support(h: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Ascending indices of the rows or columns of h that hold an exactly nonzero entry.
 
-    An entry counts when its real or imaginary part is nonzero: NaN and inf
-    count, +-0.0 does not, as in ``_block_spectra``. Every entry of h
-    outside support x support is therefore exactly zero. h is read once,
-    in row strips of about 2^16 entries seen as float64 pairs, and the scan
-    stops as soon as every column has a nonzero entry: a dense matrix costs
-    one strip.
+    NaN and inf count, +-0.0 does not. Given rows, an ascending superset of
+    the support, they are the support when each holds a nonzero diagonal
+    entry, as in a density; else the block on them is read. The block (all
+    of h when rows is None) is read in strips of about 2^16 entries seen as
+    float64 pairs, until every column is hit.
     """
-    n = h.shape[0]
-    rows = np.zeros(n, dtype=bool)
+    if rows is not None and (h.diagonal()[rows] != 0).all():
+        return rows
+    n, part = _strips(h, rows)
+    hit = np.zeros(n, dtype=bool)
     cols = np.zeros(n, dtype=bool)
     step = max(1, 2**16 // max(n, 1))
     for s in range(0, n, step):
-        nz = np.ascontiguousarray(h[s:s + step]).view(np.float64) != 0
-        np.logical_or.reduce(nz, axis=1, out=rows[s:s + step])
+        nz = np.ascontiguousarray(part(slice(s, s + step), slice(None))).view(np.float64) != 0
+        np.logical_or.reduce(nz, axis=1, out=hit[s:s + step])
         cols |= np.logical_or.reduce(nz, axis=0).reshape(n, 2).any(axis=1)
         if cols.all():
-            return np.arange(n)
-    return np.flatnonzero(rows | cols)
+            break
+    found = np.flatnonzero(hit | cols)
+    return found if n == h.shape[0] else rows[found]
 
 
-def _copies_block(size: int, n: int) -> bool:
-    """Whether a reader of an n x n matrix copies its principal block of size rows.
-
-    Only when that block is nonempty and holds at most a quarter of the
-    matrix's entries: the copy and the work on it then stay below the work
-    on the matrix itself, which is read in place otherwise.
-    """
-    return 0 < 2 * size <= n
+def _rows(state: QuantumState) -> np.ndarray:
+    """The rows of state's density that can hold a nonzero entry: its support, or a vector's."""
+    return np.flatnonzero(state.vector) if state.is_pure else state._support
 
 
-def _support_block(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """h's principal block on the rows and columns s when ``_copies_block``, else h itself."""
-    return h[np.ix_(s, s)] if _copies_block(s.size, h.shape[0]) else h
+def _product_rows(rows: np.ndarray, *factors) -> np.ndarray | None:
+    """rows, or None when a factor's sum is not finite: NaN or inf times 0 is NaN, on any row."""
+    return rows if all(np.isfinite(np.sum(f)) for f in factors) else None
+
+
+def _mask(n: int, rows: np.ndarray) -> np.ndarray:
+    """A length-n boolean mask, True on rows."""
+    return np.bincount(rows, minlength=n) > 0
 
 
 def _strips(m: np.ndarray, support: np.ndarray | None) -> tuple[int, Callable]:
     """The size of m's principal block on support, and a reader of the block's slices.
 
-    The reader takes a row slice and a column slice of the block and
-    returns that part of it: a view of m itself when support is None or
-    every row; a view of a copy of the block when it holds at most 2^16
-    entries, the size of one strip of the readers; else a gather of those
-    support rows and columns from m, so a larger block is never copied
-    whole.
+    The reader returns the block's part on a row and a column slice: a view
+    of m when support is None or every row, of a copy of a block of at most
+    2^16 entries (one strip), else a gather from m.
     """
     if support is not None and support.size < m.shape[0]:
         if support.size**2 > 2**16:
@@ -289,15 +287,10 @@ def _strips(m: np.ndarray, support: np.ndarray | None) -> tuple[int, Callable]:
 def _max_asymmetry(m: np.ndarray, support: np.ndarray | None = None) -> float:
     """max |m - m^dag| over all entries, without a dim x dim temporary.
 
-    Given m's support (``_support``), only the block on it is read, a strip
-    at a time (``_strips``): every pair outside it is 0 - conj(0), so the
-    maximum is the same, bit for bit.
-    |m[i, j] - conj(m[j, i])| is the same number, bit for bit, as
-    |m[j, i] - conj(m[i, j])|, so only the upper triangle is visited, 32
-    rows at a time: each row strip is compared with the matching column
-    strip. NaN entries propagate, as in np.max, and so do infinite ones
-    (inf - inf is NaN, without a warning), so ``not result <= tol`` rejects
-    a non-finite matrix.
+    Only the block on m's support is read (``_strips``): every pair off it
+    is 0 - conj(0). |m[i, j] - conj(m[j, i])| equals |m[j, i] - conj(m[i, j])|
+    bit for bit, so only the upper triangle is visited, 32 rows at a time.
+    NaN and inf propagate (inf - inf is NaN): ``not result <= tol`` rejects them.
     """
     n, part = _strips(m, support)
     out = np.float64(0.0)
@@ -309,11 +302,15 @@ def _max_asymmetry(m: np.ndarray, support: np.ndarray | None = None) -> float:
     return float(out)
 
 
-def _wrap(layout: SystemLayout, arr: np.ndarray) -> QuantumState:
-    """A state on layout holding arr: a vector when 1-D, else a density matrix."""
-    if arr.ndim == 1:
-        return QuantumState(layout, vector=arr, validate=False, copy=False)
-    return QuantumState(layout, matrix=arr, validate=False, copy=False)
+def _wrap(layout: SystemLayout, arr: np.ndarray, rows: np.ndarray | None = None) -> QuantumState:
+    """An operation's output on layout, unchecked: arr as a vector when 1-D, else as a density.
+
+    A density's support is found from rows, which its producer knows to
+    hold it (``_support``).
+    """
+    state = QuantumState.__new__(QuantumState)
+    state._hold(layout, arr, None if arr.ndim == 1 else _support(arr, rows))
+    return state
 
 
 def _grouped(
@@ -323,10 +320,9 @@ def _grouped(
 
     A vector ``(dim,)`` comes back as ``(g, r)`` and a matrix ``(dim, dim)``
     as ``(g, r, g, r)``: g runs over the named registers in the given order,
-    r over the other registers in layout order. The second value maps any
-    array with that element order back to flat layout order. Dimension-1
-    registers get no axis, so at most 2 x (nontrivial registers) axes are
-    ever used, far below numpy's limit at any dimension up to the cap.
+    r over the others in layout order. The second value maps any array with
+    that element order back to flat layout order. Dimension-1 registers get
+    no axis, so the axis count stays far below numpy's limit.
     """
     pos = layout.positions(labels)
     dims = layout.dims
@@ -350,48 +346,49 @@ def _grouped(
     return grouped, ungroup
 
 
-def _runs(layout: SystemLayout, chosen: Sequence[str]) -> list[tuple[bool, int, list[str]]]:
-    """Registers of dimension > 1 in layout order, cut into runs all in or all out of chosen.
+def _runs(layout: SystemLayout, *groups: Sequence[str]) -> list[tuple[int, int, list[str]]]:
+    """Registers of dimension > 1 in layout order, cut into runs of adjacent ones in one group.
 
-    Each run is (in chosen, dimension, labels). The registers of a run are
-    adjacent in flat layout order, so a flat array reshaped to the run
-    dimensions, once per array axis, has one axis per run: ``_pick`` then
-    selects digits of the chosen runs in place, and only the part that is
-    kept needs copying. A density has at most two axes per nontrivial
-    register this way, as under ``_grouped``.
+    Each run is (group, dimension, labels): group k for the registers named
+    in groups[k - 1], 0 for the rest. A flat array reshaped to the run
+    dimensions, once per array axis, has one axis per run, on which
+    ``_pick`` selects the digits of group 1 in place.
     """
-    layout.positions(chosen)  # raises on an unknown or repeated label
-    inside = set(chosen)
-    runs: list[tuple[bool, int, list[str]]] = []
+    layout.positions([l for g in groups for l in g])  # raises on an unknown or repeated label
+    group = {l: k for k, g in enumerate(groups, 1) for l in g}
+    runs: list[tuple[int, int, list[str]]] = []
     for s in layout.subsystems:
         if s.dim == 1:
             continue
-        if runs and runs[-1][0] == (s.label in inside):
-            flag, n, labels = runs[-1]
-            runs[-1] = (flag, n * s.dim, labels + [s.label])
+        k = group.get(s.label, 0)
+        if runs and runs[-1][0] == k:
+            runs[-1] = (k, runs[-1][1] * s.dim, runs[-1][2] + [s.label])
         else:
-            runs.append((s.label in inside, s.dim, [s.label]))
+            runs.append((k, s.dim, [s.label]))
     return runs
 
 
-def _pick(runs: list[tuple[bool, int, list[str]]], digits: Sequence[int]) -> tuple:
-    """Index into one half (rows or columns) of an array reshaped to its runs.
-
-    The chosen runs get the given digits, in order; the others are kept whole.
-    """
-    digit = iter(digits)
-    return tuple(next(digit) if inside else slice(None) for inside, _, _ in runs)
-
-
-def _pick_registers(
-    layout: SystemLayout, runs: list[tuple[bool, int, list[str]]], on: Sequence[str],
+def _pick(
+    layout: SystemLayout, runs: list[tuple[int, int, list[str]]], on: Sequence[str],
     digits: Sequence[int],
 ) -> tuple:
-    """``_pick`` with one digit per named register, in on's order, joined into each run's digit."""
+    """Index into one half (rows or columns) of an array reshaped to its runs.
+
+    Each run of group 1 gets the digits of its registers, named in on with
+    one digit each, joined into one; the other runs are kept whole.
+    """
     digit = dict(zip(on, digits))
-    return _pick(runs, [
-        _digit_index(layout, ls, [digit[l] for l in ls]) for inside, _, ls in runs if inside
-    ])
+    return tuple(
+        _digit_index(layout, ls, [digit[l] for l in ls]) if g == 1 else slice(None)
+        for g, _, ls in runs
+    )
+
+
+def _block_trace(diag: np.ndarray, pick: tuple) -> float:
+    """The real trace of the diagonal block at pick, from rho's diagonal reshaped to its runs."""
+    # summed over one contiguous copy of the block's diagonal, as np.trace
+    # sums it; the trailing ... keeps a view even when every run is picked
+    return float(np.real(diag[pick + (...,)].reshape(-1).sum()))
 
 
 def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
@@ -411,10 +408,8 @@ def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
 def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     """Trace out the named registers; result is a density state on the rest.
 
-    Fast path: tracing only dimension-1 registers preserves a pure vector.
-    A pure input gives M M^dag; a density is read through a view of its
-    runs (``_runs``), and its traced diagonal blocks are added one by one
-    into the output, so no array of the input's size is made.
+    Tracing only dimension-1 registers keeps a pure vector; another pure
+    input gives M M^dag, and a density is read through ``_project_trace``.
     """
     over = list(over)
     if not over:
@@ -427,19 +422,54 @@ def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
         return _wrap(new_layout, state.vector)
     if state.is_pure:
         m, _ = _grouped(layout, state.vector, new_layout.labels)
-        return _wrap(new_layout, m @ m.conj().T)
-    runs = _runs(layout, over)
-    if all(inside for inside, _, _ in runs):
+        return _wrap(new_layout, m @ m.conj().T, _product_rows(np.flatnonzero(m.any(axis=1)), m))
+    return _project_trace(state, [], (), over)[1]
+
+
+def _project_trace(
+    state: QuantumState, on: list[str], digits: tuple, over: list[str]
+) -> tuple[float, QuantumState | None]:
+    """``project_registers(state, on, digits)``, then ``partial_trace`` of its state over over.
+
+    A density is read through one view of its runs (``_runs``): the traced
+    diagonal blocks of the block at the picked digits are scaled by 1/p, as
+    complex division by its trace p scales, and added into a zeroed output
+    in ascending digit order onto +0.0, as the two steps add them. Without
+    over the block is divided as it is; without on nothing is divided.
+    """
+    layout = state.layout
+    k = _digit_index(layout, on, digits)
+    if state.is_pure:
+        w, _ = _grouped(layout, state.vector, on)
+        sel, p, norm = _branch(w, k)
+        if p <= 0.0:
+            return max(p, 0.0), None
+        return p, partial_trace(_wrap(layout.without(on), w[sel] / norm), over)
+    new_layout = layout.without(on + over)
+    runs = _runs(layout, on, over)
+    shape = tuple(n for _, n, _ in runs)
+    if not on and all(g for g, _, _ in runs):
         # a 1 x 1 result: one np.trace, not a loop over dim scalar blocks
-        return _wrap(new_layout, np.trace(state.matrix).reshape(1, 1))
-    view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)
+        return 1.0, _wrap(new_layout, np.trace(state.matrix).reshape(1, 1))
+    view = state.matrix.reshape(shape * 2)
+    pick = _pick(layout, runs, on, digits)
+    p = _block_trace(np.diagonal(state.matrix).reshape(shape), pick) if on else 1.0
+    if p <= 0.0:
+        return max(p, 0.0), None
     rho = np.zeros((new_layout.total_dim,) * 2, dtype=np.complex128)
-    out = rho.reshape(tuple(n for inside, n, _ in runs if not inside) * 2)
-    # add the traced diagonal blocks in ascending digit order onto +0.0, so
-    # that no entry of the sum is -0.0
-    for k in np.ndindex(*(n for inside, n, _ in runs if inside)):
-        np.add(out, view[_pick(runs, k) * 2], out=out)
-    return _wrap(new_layout, rho)
+    out = rho.reshape(tuple(n for g, n, _ in runs if not g) * 2)
+    if not over:
+        np.divide(view[pick * 2], p, out=out)
+    else:  # traced digit strings in ascending order, as np.ndindex runs them
+        strings = (range(n) if g == 2 else [x] for (g, n, _), x in zip(runs, pick))
+        for idx in itertools.product(*strings):
+            block = view[idx * 2]
+            np.add(out, block * (1.0 / p) if on else block, out=out)
+    # the output's support lies on the kept digits of the picked support rows
+    hit = _mask(state.dim, state._support).reshape(shape)[pick]
+    traced = tuple(i for i, g in enumerate(g for g, _, _ in runs if g != 1) if g == 2)
+    rows = np.flatnonzero(hit.any(axis=traced))
+    return p, _wrap(new_layout, rho, _product_rows(rows, p))
 
 
 def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
@@ -447,9 +477,8 @@ def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
 
     Refuses a pure-vector state: project with to_density() first, since the
     result of a partial transpose is not a state and cannot stay a vector.
-    The result is a new dim x dim array, built through two copies. The PPT
-    checks do not call this: they read the transpose from the density
-    through ``_transpose_shift``, and the tests hold them to this function.
+    The result is a new dim x dim array, built through two copies; the PPT
+    checks read the transpose through ``_transpose_shift`` instead.
     """
     if state.is_pure:
         raise ValueError("partial_transpose needs a density matrix; call to_density() first")
@@ -492,42 +521,36 @@ def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
     return h[r, d]
 
 
-def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _block_spectrum(h: np.ndarray, support: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Eigenvalues of a Hermitian matrix, ascending, found block by block.
 
     ``_block_spectra`` of h through the identity map, which reads h itself:
     also returns the number of blocks and the largest block size.
     """
-    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
+    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp), support)[0]
 
 
-def _block_spectra(h: np.ndarray, shifts: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+def _block_spectra(
+    h: np.ndarray, shifts: np.ndarray, support: np.ndarray | None = None
+) -> list[tuple[np.ndarray, int, int]]:
     """Spectra of the Hermitian matrices read from h through each map, block by block.
 
     Row c of shifts is a map B (``_transpose_shift``): its matrix has entry
     h[p + B[q] - B[p], q - (B[q] - B[p])] at (p, q), so B = 0 is h itself
-    and the map of some registers is h's partial transpose over them; no
-    such matrix is formed in full. Like ``eigvalsh``, only each matrix's
-    lower triangle is read. Its exactly nonzero entries (no tolerance:
-    1e-300 counts, -0.0 does not) link rows into connected components,
-    found for every map in one walk over h (``_components``), and the
-    matrix restricted to one component is a diagonal block of it up to a
-    permutation, so the spectrum is the union of the blocks' spectra.
-    Components of equal size are gathered from h into one stack and solved
-    by one batched ``eigvalsh``. A single component is gathered into one
-    dense array, or is h itself under B = 0, and solved by one plain
-    ``eigvalsh``. Returns, per map, the ascending eigenvalues, the number
-    of blocks and the largest block size.
+    and the map of some registers is h's partial transpose over them; only
+    its lower triangle is read. Its exactly nonzero entries (1e-300 counts,
+    -0.0 does not) link rows into components, found for every map in one
+    walk over h's support (``_components``). Blocks of equal size are solved
+    by one batched ``eigvalsh``, one of more than 2^15 entries alone
+    (``_read_dense``). Returns, per map, the ascending eigenvalues, the
+    number of blocks and the largest block size.
     """
     n = h.shape[0]
     out = []
-    for shift, root in zip(shifts, _components(h, shifts)):
+    for shift, root in zip(shifts, _components(h, shifts, support)):
         # sizes[r] is the size of the component rooted at r, 0 off the roots;
         # bincount and cumsum, not np.unique, whose first call imports numpy.ma
         sizes = np.bincount(root, minlength=n)
-        if sizes[0] == n:
-            out.append((np.linalg.eigvalsh(_read_dense(h, shift)), 1, n))
-            continue
         order = np.argsort(root, kind="stable")
         starts = np.cumsum(sizes) - sizes
         parts = []
@@ -535,46 +558,47 @@ def _block_spectra(h: np.ndarray, shifts: np.ndarray) -> list[tuple[np.ndarray, 
             # rows of idx are the components of size k, each in ascending
             # order, so every block's lower triangle is the matrix's
             idx = order[starts[sizes == k][:, None] + np.arange(k)]
-            block = _read(h, shift, idx[:, :, None], idx[:, None, :])
-            parts.append(np.linalg.eigvalsh(block).reshape(-1))
+            if k * k > 2**15:
+                parts += [np.linalg.eigvalsh(_read_dense(h, shift, rows)) for rows in idx]
+            else:
+                parts.append(np.linalg.eigvalsh(
+                    _read(h, shift, idx[:, :, None], idx[:, None, :])).reshape(-1))
         out.append((np.sort(np.concatenate(parts)), int(np.count_nonzero(sizes)),
                     int(sizes.max())))
     return out
 
 
-def _read_dense(h: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The whole matrix read from h through shift: h itself when shift is 0.
+def _read_dense(h: np.ndarray, shift: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The matrix read from h through shift, on the ascending rows and columns (all when None).
 
-    Otherwise it is gathered into one new array in row strips of about
-    2^15 entries, so the index arrays stay small.
+    All of it under shift 0 is h itself. Otherwise the block is gathered
+    into one new array in row strips of about 2^15 entries, so the index
+    arrays stay small.
     """
-    if not shift.any():
-        return h
-    n = h.shape[0]
-    out = np.empty(h.shape, dtype=h.dtype)
-    cols = np.arange(n)
-    step = max(1, 2**15 // n)
-    for s in range(0, n, step):
-        out[s:s + step] = _read(h, shift, np.arange(s, min(s + step, n))[:, None], cols)
+    if rows is None or rows.size == h.shape[0]:
+        if not shift.any():
+            return h
+        rows = np.arange(h.shape[0])
+    k = rows.size
+    out = np.empty((k, k), dtype=h.dtype)
+    step = max(1, 2**15 // k)
+    for s in range(0, k, step):
+        out[s:s + step] = _read(h, shift, rows[s:s + step, None], rows)
     return out
 
 
-def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+def _components(
+    h: np.ndarray, shifts: np.ndarray | None = None, support: np.ndarray | None = None
+) -> np.ndarray:
     """Smallest index in each row's component, for the matrix read from h through each map.
 
     The graph of a map's matrix (see ``_block_spectra``) has an edge p > q
-    wherever its entry (p, q) is exactly nonzero. One walk over h finds the
-    edges for every map at once: entry (i, j) of h is entry
-    (i - B[i] + B[j], j - B[j] + B[i]) of B's matrix. Batches of at most
-    2^14 nonzero entries (``_nonzero_batches``) are mapped and joined,
-    one map after the other, by union-find:
-    until the edges join no two components, the larger of the two roots of
-    every edge is hooked onto the smaller (``np.minimum.at``), then pointers
-    jump until every row points straight at its root. A random path graph
-    needs O(log dim) such rounds per batch. A map leaves the walk once its
-    matrix is one component, and the walk stops when none is left, so no
-    array of dim^2 entries (mask or index list) is formed. The result has
-    the shape of shifts, which defaults to the identity map: h itself.
+    wherever its entry (p, q) is exactly nonzero; entry (i, j) of h is entry
+    (i - B[i] + B[j], j - B[j] + B[i]) of B's matrix, so one walk over h's
+    support (every row when None), in batches (``_nonzero_batches``), finds
+    the edges of every map for a union-find (``_join``). A map leaves the
+    walk once its matrix is one component. The result has the shape of
+    shifts, which defaults to the identity map: h itself.
     """
     n = h.shape[0]
     shifts = np.zeros(n, dtype=np.intp) if shifts is None else np.asarray(shifts)
@@ -582,7 +606,7 @@ def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
     roots = np.tile(np.arange(n), (len(maps), 1))
     live = list(range(len(maps)))
     # under the identity map alone only h's own lower triangle has edges
-    for i, j in _nonzero_batches(h, lower_only=not maps.any()):
+    for i, j in _nonzero_batches(h, not maps.any(), support):
         if not live:
             break
         for c in list(live):
@@ -596,19 +620,15 @@ def _components(h: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
     return roots.reshape(shifts.shape)
 
 
-def _nonzero_batches(h: np.ndarray, lower_only: bool):
+def _nonzero_batches(h: np.ndarray, lower_only: bool, support: np.ndarray | None = None):
     """Rows and columns of h's exactly nonzero entries, at most 2^14 at a time.
 
-    Only the block on h's support (``_support``) is scanned, strip by strip
-    (``_strips``), and its entries are mapped back to h's indices; the map
-    is increasing, so the block's lower triangle is h's. The strips hold
-    about 2^14 entries, or their part up to the diagonal block when
-    lower_only, and are joined into one batch while it stays within 2^14
-    entries. The strip being scanned is the only other index array held,
-    and the union-find over a batch makes about a dozen arrays of the
-    batch's size: 2.3 MB in all for a dense 1024-dim matrix (tracemalloc).
+    Only the block on h's support (every row when None) is scanned
+    (``_strips``), and mapped back to h's indices in order, so its lower
+    triangle is h's. Strips of about 2^14 entries, up to the diagonal block
+    when lower_only, are joined into batches: 2.3 MB in all for a dense
+    1024-dim matrix, with the union-find's arrays (tracemalloc).
     """
-    support = _support(h)
     n, part = _strips(h, support)
     step = max(1, 2**14 // max(n, 1))
     rows, cols, pending = [], [], 0
@@ -629,7 +649,12 @@ def _nonzero_batches(h: np.ndarray, lower_only: bool):
 
 
 def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Union-find, in place: join the components of every edge (u[k], v[k])."""
+    """Union-find, in place: join the components of every edge (u[k], v[k]).
+
+    Until the edges join no two components, the larger root of every edge
+    is hooked onto the smaller, then pointers jump until every row points
+    at its root: O(log dim) rounds per batch on a random path graph.
+    """
     while True:
         ru, rv = root[u], root[v]
         apart = ru != rv
@@ -661,10 +686,8 @@ def _gram_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
     Q (Ra Ra^dag - Rb Rb^dag) Q^dag, where Ra and Rb are R's first ka and
     last kb columns, so both have the same nonzero eigenvalues. The QR route
     costs O(n (ka + kb)^2) and is taken when ka + kb < n; otherwise the
-    n x n difference is formed. Either way the Hermitian matrix's
-    |eigenvalues| are summed. Unlike the closed form for two pure states,
-    2 sqrt(1 - |<a|b>|^2), neither route cancels catastrophically when the
-    two Gram matrices nearly agree.
+    n x n difference is formed. Unlike 2 sqrt(1 - |<a|b>|^2) for two pure
+    states, neither route cancels catastrophically for nearly equal states.
     """
     n, ka = a.shape
     if _gram_side(n, ka + b.shape[1]) == "qr":
@@ -710,24 +733,24 @@ def measure_computational(
     digit_strings = itertools.product(*[range(layout.subsystem(l).dim) for l in on])
     outcomes: list[MeasurementOutcome] = []
     if not state.is_pure:
-        # each outcome's diagonal block is written straight into a zeroed
-        # output through a view of its runs, with no regrouped copy of rho
         runs = _runs(layout, on)
         shape = tuple(n for _, n, _ in runs) * 2
         view = state.matrix.reshape(shape)
         diag = np.diagonal(state.matrix).reshape(shape[:len(runs)])
+        support = _mask(state.dim, state._support).reshape(diag.shape)
         for digits in digit_strings:
-            pick = _pick_registers(layout, runs, on, digits)
-            # the block's trace, summed over one contiguous copy of its
-            # diagonal, as np.trace sums it; the trailing ... keeps a view
-            # even when every run is picked
-            p = float(np.real(diag[pick + (...,)].reshape(-1).sum()))
+            pick = _pick(layout, runs, on, digits)
+            p = _block_trace(diag, pick)
             if p <= prob_floor:
                 continue
             rho = np.zeros(state.matrix.shape, dtype=np.complex128)
             block = pick * 2 + (...,)
             np.divide(view[block], p, out=rho.reshape(shape)[block])
-            outcomes.append(MeasurementOutcome(digits, p, _wrap(layout, rho)))
+            hit = np.zeros_like(support)
+            hit[pick] = support[pick]
+            rows = np.flatnonzero(hit)
+            post = _wrap(layout, rho, _product_rows(rows, p))
+            outcomes.append(MeasurementOutcome(digits, p, post))
         return outcomes
     w, ungroup = _grouped(layout, state.vector, on)
     for k, digits in enumerate(digit_strings):
@@ -762,31 +785,12 @@ def project_registers(
     Returns (probability, conditional state on the remaining layout); the
     state is None when the probability is exactly zero. Unlike
     measure_computational this removes the measured registers, and a pure
-    input stays pure. Of a density only the kept block is copied, through
-    a view of its runs (``_runs``), and it is normalized in place.
+    input stays pure. A density is read through ``_project_trace``.
     """
     on = list(on)
     if not on:
         raise ValueError("need at least one register to project")
-    layout = state.layout
-    digits = tuple(digits)
-    k = _digit_index(layout, on, digits)
-    new_layout = layout.without(on)
-    if state.is_pure:
-        w, _ = _grouped(layout, state.vector, on)
-    else:
-        # copy only the kept block, as w = (1, r, 1, r), and scale it in place
-        runs = _runs(layout, on)
-        pick = _pick_registers(layout, runs, on, digits)
-        view = state.matrix.reshape(tuple(n for _, n, _ in runs) * 2)[pick * 2]
-        w, k = np.array(view, order="C").reshape((1, new_layout.total_dim) * 2), 0
-    sel, prob, norm = _branch(w, k)
-    if prob <= 0.0:
-        return max(prob, 0.0), None
-    if state.is_pure:
-        return prob, _wrap(new_layout, w[sel] / norm)
-    w /= norm
-    return prob, _wrap(new_layout, w[sel])
+    return _project_trace(state, on, tuple(digits), [])
 
 
 def purify(
@@ -797,40 +801,32 @@ def purify(
     """Append an environment register and return a pure state reducing to the input.
 
     Any factor A with rho = A A^dag purifies rho. A is found by pivoted
-    Cholesky: each step takes the largest residual diagonal entry, and the
-    factor stops growing once that entry is at most rank_eps, so the
-    environment dimension is the numerical rank. The factor is accepted only
-    when ||rho - A A^dag||_F <= STATE_TOL, which by Weyl's inequality puts
-    no eigenvalue of rho below -STATE_TOL; otherwise the eigenvectors
-    scaled by sqrt(eigenvalue), for eigenvalues above rank_eps, are used,
-    and a matrix with an eigenvalue below -STATE_TOL is refused. A state
-    already held as a vector gets a dimension-1 environment and is otherwise
-    unchanged.
+    Cholesky, which stops once the largest residual diagonal entry is at
+    most rank_eps, so the environment dimension is the numerical rank. It
+    is accepted only when ||rho - A A^dag||_F <= STATE_TOL, which by Weyl's
+    inequality puts no eigenvalue below -STATE_TOL; otherwise the
+    eigenvectors scaled by sqrt(eigenvalue), for eigenvalues above
+    rank_eps, are used, and an eigenvalue below -STATE_TOL is refused. A
+    vector gets a dimension-1 environment and is otherwise unchanged.
 
-    The Hermitian check, the Cholesky and its residual check read only
-    the block of rho on its support, the rows and columns that hold a
-    nonzero entry, a strip at a time; the ``eigh`` fallback copies that
-    block when it holds at most a quarter of rho's entries
-    (``_copies_block``), and runs on rho otherwise. A factor of the block
-    has its rows scattered into a zero (dim, rank) array: rho is zero
-    outside the block, so the block's factor, residual and spectrum are
-    rho's. The support comes from the entries, not the diagonal, so a row
-    with a zero diagonal entry and a nonzero off-diagonal one still
-    reaches the residual check. A full support runs on rho itself, as
-    before.
+    Every step reads only the block of rho on the state's support, a strip
+    at a time; the ``eigh`` fallback copies the block when it holds at most
+    a quarter of rho's entries, and runs on rho otherwise. rho is zero off
+    the block, so the block's factor, with its rows scattered into a zero
+    (dim, rank) array, is rho's.
     """
     label = env_label or state.layout.unique_label(ENV_PARTY)
     if state.is_pure:
         amps = state.vector[:, None]
     else:
-        rho = state.matrix
-        support = _support(rho)
+        rho, support = state.matrix, state._support
         herm = _max_asymmetry(rho, support)
         if not herm <= defaults.STATE_TOL:
             raise ValueError(f"cannot purify: matrix is not Hermitian (max asymmetry {herm!r})")
         amps, path = _cholesky_factor(rho, rank_eps, support), "factor"
         if amps is None:
-            amps, path = _eigh_factor(_support_block(rho, support), rank_eps), "eigh"
+            block = rho[np.ix_(support, support)] if 0 < 2 * support.size <= rho.shape[0] else rho
+            amps, path = _eigh_factor(block, rank_eps), "eigh"
         if amps.shape[0] < rho.shape[0]:  # the factor's rows are the support's
             factor = amps
             amps = np.zeros((rho.shape[0], factor.shape[1]), dtype=np.complex128)
@@ -846,11 +842,10 @@ def _cholesky_factor(
 ) -> np.ndarray | None:
     """A (dim, rank) factor of rho by pivoted Cholesky, or None if uncertified.
 
-    Costs O(dim^2 rank): one column per unit of rank, then the residual
-    check ||rho - A A^dag||_F <= STATE_TOL in row blocks, so no dim x dim
-    array is formed. None also stands for a numerically zero matrix.
-    Given rho's support (``_support``), only the block on it is read, a
-    strip at a time (``_strips``), and the factor has the support's rows.
+    Costs O(dim^2 rank), one column per unit of rank, then the residual
+    check ||rho - A A^dag||_F <= STATE_TOL in row blocks. None also stands
+    for a numerically zero matrix. Given rho's support, only the block on
+    it is read (``_strips``), and the factor has the support's rows.
     """
     dim, part = _strips(rho, support)
     resid = np.real(np.diagonal(rho))
@@ -972,4 +967,11 @@ def _apply_blocks(
     # a matmul can leave zeros as -0.0 (0 * -x), depending on the BLAS
     # kernel; make them +0.0, since qcr-state/1 writes the sign
     out += 0.0
-    return _wrap(layout, ungroup(out))
+    support = None
+    if not state.is_pure:  # moved along each applied block's nonzero pattern
+        m, back = _grouped(layout, _mask(state.dim, state._support), control + target)
+        m = m.reshape(c_dim, t_dim, -1)
+        for k, b in checked.items():
+            m[k] = (b != 0) @ m[k]
+        support = _product_rows(np.flatnonzero(back(m)), state.matrix)
+    return _wrap(layout, ungroup(out), support)

@@ -192,3 +192,62 @@ def test_measure_computational_at_1024_holds_only_its_outputs():
     assert [(o.digits, o.probability) for o in outcomes] == [w[:2] for w in want]
     for outcome, (_, _, post) in zip(outcomes, want):
         assert outcome.state.matrix.tobytes() == post.tobytes()
+
+
+def two_step_reduce(state, dishonest):
+    """reduce's branches from the grouped-copy projection and trace it used to run in turn."""
+    layout = state.layout
+    d = layout.qudit_dim
+    measured = [layout.info_label(p) for p in dishonest]
+    shields = [l for p in dishonest for l in layout.party_labels(p) if l not in measured]
+    out = []
+    for digits in itertools.product(*(range(layout.subsystem(l).dim) for l in measured)):
+        prob, post = grouped_project(state, measured, digits)
+        if prob <= q.defaults.PROB_FLOOR:
+            continue
+        post = q.QuantumState(layout.without(measured), **{
+            "vector" if post.ndim == 1 else "matrix": post}, validate=False)
+        if shields and post.is_pure:
+            post = q.partial_trace(post, shields)
+        elif shields:
+            post = q.QuantumState(post.layout.without(shields),
+                                  matrix=grouped_partial_trace(post, shields), validate=False)
+        if sum(digits) % d:
+            post = q.apply_unitary(post, q.shift_matrix(d, sum(digits) % d), [layout.info_label(DEALER)])
+        out.append((digits, prob, post._data.tobytes()))
+    return out
+
+
+def reduce_fixtures():
+    rng = np.random.default_rng(1607)
+    ghz = q.build_ghz_qcr(2, 2, q.ShieldSeed.random([2, 1, 2], rng))
+    return [
+        q.compose(q.random_private_state(2, (2, 2), rng), ghz, check=False)[0],
+        q.compose(q.random_private_state(3, (1, 2), rng), q.build_ghz_qcr(3, 2), check=False)[0],
+        q.build_ghz_qcr(2, 3, q.ShieldSeed.random([2, 2, 1, 2], rng)),
+        q.build_ghz_qcr(3, 3, q.ShieldSeed.random([1, 2, 1, 1], rng, pure=True)),
+        q.build_ghz_qcr(2, 3, q.ShieldSeed.random([2, 1, 1, 2], rng, pure=True)).to_density(),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_reduce_matches_the_two_step_projection_and_trace(index):
+    state = reduce_fixtures()[index]
+    players = state.layout.players
+    keep_sets = [set(c) for r in range(1, len(players)) for c in itertools.combinations(players, r)]
+    for keep in keep_sets:
+        dishonest = [p for p in players if p not in keep]
+        got = [(o.digits, o.probability, o.state._data.tobytes())
+               for o in q.reduce(state, dishonest, check=False)]
+        assert got == two_step_reduce(state, dishonest), dishonest
+
+
+def test_reduce_of_the_1024_composite_matches_the_two_steps_and_copies_no_block():
+    rho = composite_1024()
+    for dishonest in (["A1"], ["A2"], ["A1", "A3"], ["A2", "A3"]):
+        got = [(o.digits, o.probability, o.state.matrix.tobytes())
+               for o in q.reduce(rho, dishonest, check=False)]
+        assert got == two_step_reduce(rho, dishonest), dishonest
+    outcomes, peak = peak_bytes(lambda: q.reduce(rho, ["A1"], check=False))
+    assert len(outcomes) == 2
+    assert peak < 0.30 * rho.matrix.nbytes

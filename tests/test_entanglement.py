@@ -129,6 +129,9 @@ def test_ppt_and_density_trace_distance_log_their_path(caplog, example_state):
     records = [r for r in caplog.records if r.name == "qcrkit"]
     assert all(r.levelno == logging.DEBUG for r in records)
     lines = [r.getMessage() for r in records]
+    # the two vectors that become densities log that change first
+    assert [m for m in lines if m.startswith("to_density:")] == ["to_density: dim 64, support 4"] * 2
+    lines = [m for m in lines if not m.startswith("to_density:")]
     assert len(lines) == 4
     assert lines[0] == "ppt: side two A1.info,A1.shield, dim 64, path pure, svd 4x16"
     assert lines[1].startswith("ppt: side two A1.info,A1.shield, dim 64, path blocks, blocks ")

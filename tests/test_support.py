@@ -7,6 +7,7 @@ walk read only that block. The oracles here are the dense forms: the
 whole-matrix ``!= 0`` mask, ``np.max(np.abs(m - m^dag))``, purify's body
 run on all of rho, and the block spectrum of the whole difference.
 """
+import itertools
 import logging
 import re
 import tracemalloc
@@ -88,20 +89,23 @@ def test_support_of_the_special_cases():
     assert states._support(cases["full support, diagonal"]).size == 300
 
 
-def test_support_block_is_copied_only_when_it_holds_a_quarter_of_the_entries():
-    cases = support_cases()
-    for name in ("zero matrix", "full support, dense", "full support, diagonal"):
-        m = cases[name]
-        assert states._support_block(m, states._support(m)) is m
-    m = cases["sparse hermitian"]
-    s = states._support(m)
-    np.testing.assert_array_equal(states._support_block(m, s), m[np.ix_(s, s)])
-    # at half the rows the block is a quarter of the entries; one row more reads m
-    m = np.eye(10, dtype=complex)
-    assert states._support_block(m, np.arange(5)).shape == (5, 5)
-    assert states._support_block(m, np.arange(6)) is m
-    assert [states._copies_block(k, 10) for k in (0, 1, 5, 6, 10)] == [
-        False, True, True, False, False]
+def test_support_block_is_copied_only_when_it_holds_a_quarter_of_the_entries(monkeypatch):
+    # purify's eigh fallback: with rank_eps 0.3 one pivot leaves the rest
+    # behind, so the factor is not certified and eigh runs, on the support
+    # block when it holds at most a quarter of rho's entries, else on rho
+    seen = []
+    eigh_factor = states._eigh_factor
+    monkeypatch.setattr(states, "_eigh_factor",
+                        lambda m, eps: seen.append(m.shape[0]) or eigh_factor(m, eps))
+    for keep, want in ((3, 3), (5, 5), (6, 10), (10, 10)):
+        rows = np.arange(10)[::-1][:keep]
+        diag = np.zeros(10)
+        diag[rows] = [0.5] + [0.5 / (keep - 1)] * (keep - 1)
+        a = q.purify(on_one_register(np.diag(diag).astype(complex)), rank_eps=0.3)
+        assert seen.pop() == want, keep
+        factor = a.vector.reshape(10, -1)
+        assert factor.shape == (10, 1) and not np.delete(factor, rows, axis=0).any()
+        assert abs(abs(factor[rows[0], 0]) ** 2 - 0.5) <= 1e-12
 
 
 def test_max_asymmetry_on_sparse_matrices_equals_the_dense_expression():
@@ -351,3 +355,195 @@ def test_a_near_full_support_is_read_in_place():
             assert got <= want + slack, keep
         whole = traced_peak(lambda: states._block_spectrum(a.matrix - b.matrix))
         assert traced_peak(lambda: q.trace_distance(a, b)) <= whole + slack, keep
+
+
+# -- the support a density carries ----------------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every support scan, as (matrix dimension, rows scanned)."""
+    seen = []
+    scan = states._support
+
+    def counting(h, rows=None):
+        seen.append((h.shape[0], h.shape[0] if rows is None else rows.size))
+        return scan(h, rows)
+
+    monkeypatch.setattr(states, "_support", counting)
+    return seen
+
+
+def full_scans(seen):
+    return [n for n, k in seen if k == n]
+
+
+def test_a_validated_or_unhinted_density_is_scanned_once_at_full_size(scans, tmp_path):
+    p = q.random_private_state(2, (2, 2), np.random.default_rng(1601))
+    q.write_state(p, tmp_path / "p.json")
+    scans.clear()
+    a = q.QuantumState(p.layout, matrix=p.matrix)
+    assert scans == [(16, 16)]
+    scans.clear()
+    b = q.QuantumState(p.layout, matrix=p.matrix, validate=False, copy=False)
+    assert scans == [(16, 16)]
+    scans.clear()
+    c = q.read_state(tmp_path / "p.json")
+    assert scans == [(16, 16)]
+    # the readers take the field
+    scans.clear()
+    q.purify(a)
+    q.is_qcr(b, exhaustive=True)
+    q.all_dealer_cuts_ppt(c)
+    assert q.trace_distance(a, c) == 0.0
+    assert scans == []
+    for s in (a, b, c):
+        np.testing.assert_array_equal(s._support, p._support)
+
+
+def test_no_producer_or_reader_scans_a_whole_matrix(scans):
+    rng = np.random.default_rng(1602)
+    ex = q.build_example_state()
+    p, other = (q.random_private_state(2, (2, 2), rng) for _ in range(2))
+    sigma = q.ShieldSeed.random([2, 2], rng)
+    twist = q.TwistingFamily({(i,): q.haar_unitary(4, rng) for i in range(2)})
+    ghz_sigma = q.ShieldSeed.random([2, 1, 2], rng)
+    scans.clear()
+    c, _ = q.compose(p, ex, check=False)
+    d, _ = q.compose(other, ex.to_density(), check=False)
+    outputs = [
+        c, d,
+        q.expand_from_private([q.maximally_entangled(2)] * 4, check=False),
+        q.build_private_state(2, sigma, twist),
+        q.build_ghz_qcr(2, 2, ghz_sigma),
+        q.tensor_product(p, ex.to_density().relabeled({l: "x" + l for l in ex.layout.labels})),
+        q.project_registers(c, ["A1.info"], (1,))[1],
+        q.partial_trace(c, ["A1.shield", "A3.info"]),
+        q.apply_unitary(c, q.shift_matrix(2, 1), ["D.info"]),
+        c.permuted(list(reversed(c.layout.labels))),
+        c.relabeled({"A1.info": "A1.key"}),
+    ]
+    outputs += [o.state for o in q.measure_computational(c, ["A1.info", "A2.info"])]
+    outputs += [o.state for o in q.reduce(c, ["A1", "A3"], check=False)]
+    assert full_scans(scans) == []
+    assert all(0 < s._support.size < s.dim for s in outputs)
+    # readers, and the certified protocols
+    scans.clear()
+    q.is_qcr(c)
+    q.purify(d)
+    q.all_dealer_cuts_ppt(c)
+    q.trace_distance(c, d)
+    q.reduce(c, ["A1"], check=True, tol=1e-7)
+    q.compose(p, ex, check=True, tol=1e-7)
+    assert full_scans(scans) == []
+
+
+def odd_private_states():
+    """Unvalidated private-state densities with a 1e-200 row, signed zeros and NaN."""
+    rng = np.random.default_rng(1603)
+    p = q.random_private_state(2, (2, 2), rng)
+    off = np.setdiff1d(np.arange(p.dim), p._support)
+    tiny = p.matrix.copy()
+    tiny[off[0], off[0]] = 1e-200
+    tiny[off[1], off[2]] = tiny[off[2], off[1]] = 1e-200
+    signed = p.matrix.copy()
+    signed.real[signed.real == 0] = -0.0
+    signed.imag[signed.imag == 0] = -0.0
+    nan = p.matrix.copy()
+    nan[p._support[0], p._support[1]] = complex(np.nan, 0.0)
+    nan_diagonal = p.matrix.copy()
+    nan_diagonal[p._support[2], p._support[2]] = np.nan
+    return [q.QuantumState(p.layout, matrix=m, validate=False)
+            for m in (p.matrix, tiny, signed, nan, nan_diagonal)]
+
+
+def producer_outputs(a, b):
+    """A density output of every producer, from two single-player crypto-form states."""
+    ghz = q.build_ghz_qcr(2, 2)
+    c, _ = q.compose(a, ghz, check=False)
+    yield "compose a b", q.compose(a, b, check=False)[0]
+    yield "compose a ghz", c
+    yield "compose ghz b", q.compose(ghz, b, check=False)[0]
+    yield "tensor", q.tensor_product(a, b.relabeled({l: "b" + l for l in b.layout.labels}))
+    yield "to_density", q.build_example_state().to_density()
+    for on in (["A1.info"], ["D.info", "A1.shield"]):
+        for digits in itertools.product(range(2), repeat=len(on)):
+            prob, post = q.project_registers(c, on, digits)
+            if post is not None:
+                yield f"project {on} {digits}", post
+    for over in (["A1.shield"], ["A1.info", "A1.shield"], ["D.shield", "A2.info"], c.layout.labels):
+        yield f"trace {over}", q.partial_trace(c, over)
+    for o in q.measure_computational(c, ["A2.info", "A1.info"]):
+        yield f"measure {o.digits}", o.state
+    for keep in (["A1"], ["A2", "A3"]):
+        dishonest = [p for p in c.layout.players if p not in keep]
+        for o in q.reduce(c, dishonest, check=False):
+            yield f"reduce {dishonest} {o.digits}", o.state
+    yield "shift", q.apply_unitary(a, q.shift_matrix(2, 1), ["D.info"])
+    rng = np.random.default_rng(1605)
+    blocks = {(1,): q.haar_unitary(4, rng)}
+    yield "controlled", q.apply_controlled(a, ["A1.info"], ["D.shield", "A1.shield"], blocks)
+    yield "permuted", c.permuted(list(reversed(c.layout.labels)))
+    yield "relabeled", a.relabeled({"D.info": "D.key"})
+
+
+def test_the_field_is_the_support_of_every_producer_output():
+    rng = np.random.default_rng(1606)
+    fixtures = odd_private_states()
+    fixtures.append(q.build_private_state(2, q.ShieldSeed.random([2, 2], rng)))
+    fixtures.append(q.build_ghz_qcr(2, 1, q.ShieldSeed.random([2, 2], rng, pure=True)))
+    count = 0
+    for a in fixtures:
+        for b in fixtures[::-1]:
+            with np.errstate(invalid="ignore"):  # NaN in, NaN out
+                outputs = list(producer_outputs(a, b))
+            for name, s in outputs:
+                if not s.is_pure:
+                    count += 1
+                    np.testing.assert_array_equal(s._support, states._support(s.matrix), name)
+    assert count > 1000
+    # two 1e-200 rows meet in products that underflow to 0, so the composite's
+    # support is smaller than the image of the two supports
+    tiny = odd_private_states()[1]
+    merged, _ = q.compose(tiny, tiny, check=False)
+    assert merged._support.size < tiny._support.size ** 2
+    np.testing.assert_array_equal(merged._support, states._support(merged.matrix))
+    # builders and the expansion
+    for s in (q.build_private_state(3, q.ShieldSeed.random([2, 1], rng)),
+              q.build_ghz_qcr(2, 3, q.ShieldSeed.random([2, 1, 2, 1], rng)),
+              q.random_private_state(3, (1, 2), rng),
+              q.expand_from_private([q.maximally_entangled(3)] * 3, check=False)):
+        np.testing.assert_array_equal(s._support, states._support(s.matrix))
+
+
+def test_a_large_component_beside_small_ones_is_gathered_a_strip_at_a_time():
+    # two densities on different random 512-row sets: the difference is one
+    # component of about 768 rows beside zero rows, and reading it holds
+    # about one block of that size, not the k x k index arrays of a gather
+    rng = np.random.default_rng(1604)
+
+    def embedded():
+        m = np.zeros((1024, 1024), dtype=complex)
+        s = np.sort(rng.choice(1024, size=512, replace=False))
+        m[np.ix_(s, s)] = q.random_density(512, rng, rank=4)
+        return on_one_register(m)
+
+    a, b = embedded(), embedded()
+    diff = a.matrix - b.matrix
+    vals, blocks, largest = states._block_spectrum(diff)
+    assert 700 < largest < 840 and blocks == 1024 - largest + 1
+    block = 16 * largest**2
+    assert traced_peak(lambda: states._block_spectrum(diff)) <= 1.2 * block
+    assert traced_peak(lambda: q.trace_distance(a, b)) <= 1.3 * block
+    assert q.trace_distance(a, b) == float(np.abs(vals).sum())
+    want = np.linalg.eigvalsh(diff[np.ix_(*(states._support(diff),) * 2)])
+    np.testing.assert_allclose(np.sort(vals)[-10:], want[-10:], atol=1e-12)
+
+
+def test_to_density_logs_the_change_of_representation(caplog):
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    rho = q.build_example_state().to_density()
+    assert rho.to_density() is rho
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("qcrkit", logging.DEBUG, "to_density: dim 64, support 4"),
+    ]
