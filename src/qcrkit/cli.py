@@ -6,7 +6,8 @@ failure, 2 informational non-PPT finding, 64 usage or parameter errors
 and unwritable output paths, 65 unreadable or malformed state files.
 
 A JSON config file named by the QCRKIT_CONFIG environment variable supplies
-defaults for tol / cap / seed / report_format; command-line flags win.
+defaults for tol / cap / seed; command-line flags win. It may also hold
+report_format, which must be "json" and changes nothing.
 """
 from __future__ import annotations
 

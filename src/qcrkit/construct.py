@@ -24,7 +24,7 @@ from .registers import (
     DEALER, SystemLayout, _digit_sum_mask, is_integer_in, labeled_layout, standard_layout,
     standard_parties,
 )
-from .states import QuantumState, _check_cap, _check_unitary, _wrap, apply_controlled, apply_unitary
+from .states import QuantumState, _check_cap, _check_unitary, _relabel, _wrap, apply_controlled
 from .verify import is_qcr
 
 
@@ -310,13 +310,8 @@ def relabel_negated_player(state: QuantumState, player: str) -> QuantumState:
     Converts between the |i, -i> correlation convention and |i, i>.
     """
     layout = state.layout
-    layout.require_crypto_form()
-    label = layout.info_label(player)
-    d = layout.subsystem(label).dim
-    neg = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        neg[(d - i) % d, i] = 1.0
-    return apply_unitary(state, neg, [label])
+    d = layout.qudit_dim  # raises unless the layout is in crypto form
+    return _relabel(state, layout.info_label(player), -np.arange(d) % d)
 
 
 # -- seeded random instances ------------------------------------------

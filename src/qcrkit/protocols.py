@@ -11,11 +11,11 @@ player groups by adding one info register into the other (modular
 controlled addition), after which the absorbed register joins the dealer's
 shield. The addition and the register reorder that follows only permute
 basis states, so every entry of the result is one product of an entry of
-a and an entry of b. Only the products of the two inputs' support blocks,
-which each state carries (``states.QuantumState``), are written, once
-each, into a zeroed output in the merged order (``_merged_product``);
-kron(a, b) is never formed, and only the image of the supports is
-scanned for the output's support.
+a and an entry of b. compose maps each pair of the inputs' support rows
+to its merged row, and ``states._placed`` writes the products of the two
+support blocks there, once each; kron(a, b) is never formed. reduce's
+dealer shift is a relabel of the dealer's digit by the same writer
+(``states._relabel``).
 
 expand_from_private: left fold of compose over a list of two-party states.
 """
@@ -30,12 +30,7 @@ import numpy as np
 from . import defaults
 from .registers import DEALER, ENV_PARTY, SystemLayout, digit_sum, labeled_layout, standard_parties
 from .states import (
-    QuantumState,
-    _check_cap,
-    _project_trace,
-    _rows,
-    _wrap,
-    apply_unitary,
+    QuantumState, _check_cap, _digits, _flat, _placed, _project_trace, _relabel, _rows,
     measurement_distribution,
 )
 from .verify import CoalitionSpec, VerificationReport, is_qcr
@@ -191,7 +186,7 @@ def reduce(
         beta = digit_sum(digits, d)
         corrected = beta != 0
         if corrected:
-            post = apply_unitary(post, shift_matrix(d, beta), [dealer_info])
+            post = _relabel(post, dealer_info, (np.arange(d) + beta) % d)
         results.append(
             ReductionOutcome(
                 dishonest=p2,
@@ -219,8 +214,9 @@ def compose(
     controlled addition, target on a's side); b's dealer info register is
     then reclassified as a dealer shield, players are renumbered A1..A_{N+M}
     (a's first), and the relabeling is recorded. Addition and reorder are
-    one basis permutation of kron(a, b), written straight into one array
-    (``_merged_product``); cap is checked before that array is allocated.
+    one basis permutation of kron(a, b): each pair of support rows is
+    mapped to its merged row, and ``states._placed`` writes the products
+    there, into one array; cap is checked before that array is allocated.
     """
     a.layout.require_crypto_form()
     b.layout.require_crypto_form()
@@ -260,7 +256,10 @@ def compose(
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
     _check_cap(a.dim * b.dim, cap)
-    data, rows = _merged_product(a, b, [i for i, _, _ in merged], target, control)
+    # each pair of support rows' digits in kron(a, b) order, then the addition
+    digits = _digits(_rows(a)[:, None], a.dims) + _digits(_rows(b), b.dims)
+    digits[target] = (digits[target] + digits[control]) % d
+    idx = _flat([digits[i] for i, _, _ in merged], layout.dims)
 
     record = CompositionRecord(
         qudit_dim=d,
@@ -272,55 +271,7 @@ def compose(
         relabel_a=relabel_a,
         relabel_b=relabel_b,
     )
-    return _wrap(layout, data, rows), record
-
-
-def _merged_product(
-    a: QuantumState, b: QuantumState, order: list[int], target: int, control: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """kron(a, b) after the controlled addition, in merged register order, and its rows.
-
-    order lists each merged register's position in kron(a, b). Rows alpha
-    of a and beta of b meet in merged row m: the digits of (alpha, beta) in
-    merged order, a's target digit plus b's control digit, mod d, in the
-    target's place. Only the two supports' rows (``states._rows``) are
-    mapped, and a[alpha_i, alpha_j] * b[beta_i, beta_j] is written at
-    (m_i, m_j) of a zeroed output, +0.0 for -0.0 since qcr-state/1 writes
-    the sign, about 2^16 products at a time. Returns the output and the
-    mapped rows, ascending.
-    """
-    ra, rb = _rows(a), _rows(b)
-    dims = a.dims + b.dims
-    stride, left = {}, a.dim * b.dim
-    for i in order:
-        left //= dims[i]
-        stride[i] = left
-    # per side, each support row's merged index without a's target digit;
-    # the digits of a's target and of b's control
-    parts, digit = [], {}
-    for rows, lo, hi, left in ((ra, 0, len(a.dims), a.dim), (rb, len(a.dims), len(dims), b.dim)):
-        m = np.zeros_like(rows)
-        for i in range(lo, hi):
-            left //= dims[i]
-            if dims[i] > 1:
-                digit[i] = rows // left % dims[i]
-                m += 0 if i == target else digit[i] * stride[i]
-        parts.append(m)
-    shifted = (digit[target][:, None] + digit[control]) % dims[target]
-    idx = (parts[0][:, None] + parts[1] + stride[target] * shifted).reshape(-1)
-    if a.is_pure and b.is_pure:
-        data = np.zeros(a.dim * b.dim, dtype=np.complex128)
-        data[idx] = np.multiply.outer(a.vector[ra], b.vector[rb]).reshape(-1) + 0.0
-        return data, np.sort(idx)
-    xa, xb = a._entries(ra, ra), b._entries(rb, rb)
-    data = np.zeros((a.dim * b.dim,) * 2, dtype=np.complex128)
-    step = max(1, 2**16 // max(idx.size, 1))
-    for s in range(0, idx.size, step):
-        i, j = np.divmod(np.arange(s, min(s + step, idx.size)), rb.size)
-        block = (xa[i][:, :, None] * xb[j][:, None, :]).reshape(i.size, -1)
-        block += 0.0
-        data[np.ix_(idx[s:s + step], idx)] = block
-    return data, np.sort(idx)
+    return _placed(layout, idx.reshape(-1), a, b), record
 
 
 def expand_from_private(

@@ -38,8 +38,10 @@ underflows to 0. With ``copy=False`` the constructor takes the caller's
 buffer over, read-only; writing to it through another reference leaves
 the field stale. Every reader takes the field: the Hermitian check,
 ``purify``, the PPT walk and the density trace distance read only the
-support block, a strip at a time (``_strips``), and ``compose`` writes
-only the products of its inputs' support blocks.
+support block, a strip at a time (``_strips``). A tensor product followed
+by a basis permutation (``tensor_product``, ``compose``, ``_relabel``) has
+one writer, ``_placed``, which writes only the products of the support
+blocks, at the rows that its caller maps them to (``_digits``, ``_flat``).
 """
 from __future__ import annotations
 
@@ -217,10 +219,8 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
         raise ValueError(f"register labels collide: {sorted(overlap)}")
     _check_cap(a.dim * b.dim, cap)
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
-    if a.is_pure and b.is_pure:
-        return _wrap(layout, np.kron(a.vector, b.vector))
-    rows = _product_rows((_rows(a)[:, None] * b.dim + _rows(b)).reshape(-1), a._data, b._data)
-    return _wrap(layout, np.kron(a.density_matrix(), b.density_matrix()), rows)
+    idx = np.ravel_multi_index((_rows(a)[:, None], _rows(b)), (a.dim, b.dim))  # kron's order
+    return _placed(layout, idx.reshape(-1), a, b)
 
 
 def _check_cap(dim: int, cap: int | None, error: type[ValueError] = ValueError) -> None:
@@ -258,6 +258,63 @@ def _support(h: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
 def _rows(state: QuantumState) -> np.ndarray:
     """The rows of state's density that can hold a nonzero entry: its support, or a vector's."""
     return np.flatnonzero(state.vector) if state.is_pure else state._support
+
+
+def _placed(layout: SystemLayout, idx: np.ndarray, a: QuantumState,
+            b: QuantumState | None = None) -> QuantumState:
+    """The products of a's and b's support entries on layout, placed by the row map idx.
+
+    Row i of a's and row k of b's nonzero rows (``_rows``) meet in output
+    row idx[i * nb + k]: a density gets a[i, j] * b[k, l] there and in
+    column idx[j * nb + l], a pure output (both inputs pure) a[i] * b[k].
+    Without b, a is relabeled (times a 1 x 1 factor of 1.0). Each product
+    is written once, +0.0 for -0.0 since qcr-state/1 writes the sign,
+    about 2^16 at a time; every other entry is zero.
+    """
+    pure = a.is_pure and (b is None or b.is_pure)
+
+    def entries(s: QuantumState) -> np.ndarray:
+        r = _rows(s)
+        return s.vector[r] if pure else s._entries(r, r)
+
+    x = entries(a)
+    y = np.ones((1,) * x.ndim) if b is None else entries(b)
+    if pure:
+        data = np.zeros(layout.total_dim, dtype=np.complex128)
+        data[idx] = np.multiply.outer(x, y).reshape(-1) + 0.0
+        return _wrap(layout, data)
+    data = np.zeros((layout.total_dim,) * 2, dtype=np.complex128)
+    step = max(1, 2**16 // max(idx.size, 1))
+    for s in range(0, idx.size, step):
+        i, k = np.divmod(np.arange(s, min(s + step, idx.size)), len(y))
+        block = (x[i][:, :, None] * y[k][:, None, :]).reshape(i.size, -1)
+        block += 0.0
+        data[np.ix_(idx[s:s + step], idx)] = block
+    return _wrap(layout, data, np.sort(idx))
+
+
+def _relabel(state: QuantumState, label: str, image: np.ndarray) -> QuantumState:
+    """state with basis digit x of the named register renamed image[x], a permutation."""
+    digits = _digits(_rows(state), state.dims)
+    k = state.layout.position(label)
+    digits[k] = image[digits[k]]
+    return _placed(state.layout, _flat(digits, state.dims), state)
+
+
+def _digits(index: np.ndarray, dims: Sequence[int]) -> list:
+    """Each register's row-major digit of the flat indices, as ``_flat`` reads them back.
+
+    A dimension-1 register's is 0, kept out of numpy's call: the register count sets no ceiling.
+    """
+    big = [i for i, d in enumerate(dims) if d > 1] or [0]
+    found = dict(zip(big, np.unravel_index(index, [dims[i] for i in big])))
+    return [found.get(i, 0) for i in range(len(dims))]
+
+
+def _flat(digits: Sequence, dims: Sequence[int]) -> np.ndarray:
+    """The row-major flat index of one digit per register; the digit arrays broadcast."""
+    big = [i for i, d in enumerate(dims) if d > 1] or [0]
+    return np.ravel_multi_index([digits[i] for i in big], [dims[i] for i in big])
 
 
 def _product_rows(rows: np.ndarray, *factors) -> np.ndarray | None:
@@ -500,17 +557,11 @@ def _transpose_shift(layout: SystemLayout, over: Sequence[str]) -> np.ndarray:
     Transposing those registers moves entry (p, q) of a matrix to
     (p - B[p] + B[q], q - B[q] + B[p]), a swap that is its own inverse, so
     the partial transpose of rho is read as rho[p + B[q] - B[p],
-    q - (B[q] - B[p])]. Dimension-1 registers add 0; B = 0 reads rho itself.
+    q - (B[q] - B[p])]. B[x] is x with the other registers' digits set to 0.
     """
-    index = np.arange(layout.total_dim)
-    shift = np.zeros_like(index)
     chosen = set(layout.positions(over))
-    stride = layout.total_dim
-    for i, d in enumerate(layout.dims):
-        stride //= d
-        if i in chosen:
-            shift += index // stride % d * stride
-    return shift
+    digits = _digits(np.arange(layout.total_dim), layout.dims)
+    return _flat([x * (i in chosen) for i, x in enumerate(digits)], layout.dims)
 
 
 def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -973,5 +1024,6 @@ def _apply_blocks(
         m = m.reshape(c_dim, t_dim, -1)
         for k, b in checked.items():
             m[k] = (b != 0) @ m[k]
-        support = _product_rows(np.flatnonzero(back(m)), state.matrix)
+        _, block = _strips(state.matrix, state._support)  # rho is 0 off it, so any NaN is in it
+        support = _product_rows(np.flatnonzero(back(m)), block(slice(None), slice(None)))
     return _wrap(layout, ungroup(out), support)

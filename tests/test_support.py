@@ -547,3 +547,22 @@ def test_to_density_logs_the_change_of_representation(caplog):
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("qcrkit", logging.DEBUG, "to_density: dim 64, support 4"),
     ]
+
+
+def test_no_relabel_or_shifted_reduce_branch_scans_a_whole_matrix(scans):
+    # the relabels and the dealer shift hand the writer the permuted support
+    # rows, so only that block is read for the output's support
+    rng = np.random.default_rng(1607)
+    p = q.random_private_state(3, (2, 1), rng)
+    c, _ = q.compose(q.random_private_state(2, (2, 2), rng), q.build_example_state().to_density(),
+                     check=False)
+    scans.clear()
+    outputs = [q.relabel_negated_player(s, player) for s in (p, c) for player in s.layout.players]
+    outputs.append(states._relabel(p, "D.info", np.array([2, 0, 1])))
+    for dishonest in (["A1"], ["A2", "A3"], ["A1", "A3"]):
+        outputs += [o.state for o in q.reduce(c, dishonest, check=False) if o.beta]
+    assert len(outputs) > 8
+    assert full_scans(scans) == []
+    assert all(0 < s._support.size < s.dim for s in outputs)
+    for s in outputs:
+        np.testing.assert_array_equal(s._support, states._support(s.matrix))
