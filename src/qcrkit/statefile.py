@@ -6,18 +6,29 @@ diff cleanly in review. The writer prints each float with its shortest
 round-trip repr and the reader views the parsed pairs back as the complex
 buffer, so write-then-read is bit-exact, signed zeros included.
 
-Both sides walk the entries in chunks of ``CHUNK`` lines and handle each
-distinct line of a chunk once: a density file is mostly repeats of a few
-lines, such as ``[0.0, 0.0]``. The reader takes this path only for text in
-the writer's own shape; any other JSON, and any chunk that fails a check,
-goes through one whole-document ``json.loads`` with the same checks.
+A density file is mostly the zero line ``  [0.0, 0.0]`` (+0.0 in both
+parts), so both sides set it apart and work in proportion to the other
+lines. The writer maps every (+0.0, +0.0) entry straight to it and formats
+each distinct other line of a ``CHUNK``-entry chunk once. The reader walks
+the body in windows of at most ``_WINDOW`` characters, finds each line's
+start and length with numpy from its separators, and marks a line as zero
+when its 12 characters are the zero line's. The zero lines stay zeros of
+the output; only the other lines are joined and parsed, each distinct line
+of a window once, and their pairs scattered to their places. The reader
+takes this path only for text in the writer's own shape; any other JSON,
+and any window that fails a check, goes through one whole-document
+``json.loads`` with the same checks. ``read_state`` checks the head of a
+file in that shape, dimension cap included, before it reads the body.
 """
 from __future__ import annotations
 
 import json
+import logging
+import os
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -26,13 +37,19 @@ from .states import QuantumState, _check_cap
 
 FORMAT = "qcr-state/1"
 
-# entry lines per chunk on both sides: bounds the per-chunk Python objects
+logger = logging.getLogger("qcrkit")
+
+# entries per writer chunk: bounds the per-chunk Python objects
 CHUNK = 2**16
-# the widest entry line the writer prints, "  [-2.2250738585072014e-308, ...]"
-# with its separator, is 56 characters, so a window holds CHUNK lines of it
-_WINDOW = 64 * CHUNK
+# body characters per reader window: bounds the per-window arrays and strings
+_WINDOW = 2**18
+# the bytes read_state searches for the head before it reads a whole file
+_HEAD_BYTES = 2**16
 _ENTRIES = '\n "entries": [\n'
 _TAIL = "\n ]\n}\n"
+_ZERO = "  [0.0, 0.0]"
+# the zero line's two 8-byte words, at offsets 0 and 4: together they cover its 12 bytes
+_ZERO_WORDS = np.frombuffer(_ZERO[:8].encode() + _ZERO[4:].encode(), "<u8")
 _NUMBER_PAIRS = "entries must be [real, imaginary] number pairs"
 
 
@@ -63,17 +80,23 @@ def _pairs_of(state: QuantumState) -> np.ndarray:
 def _entry_chunks(state: QuantumState) -> Iterator[str]:
     """The entry lines, CHUNK at a time, each chunk joined by ",\\n"."""
     pairs = _pairs_of(state)
+    formatted = 0
     for start in range(0, len(pairs), CHUNK):
         # key on bit patterns, never values: 0.0 == -0.0 but they print apart
         bits = pairs[start:start + CHUNK].view(np.uint64)
-        re_bits, re_at = np.unique(bits[:, 0], return_inverse=True)
-        im_bits, im_at = np.unique(bits[:, 1], return_inverse=True)
+        rest = np.flatnonzero(bits[:, 0] | bits[:, 1])
+        re_bits, re_at = np.unique(bits[:, 0][rest], return_inverse=True)
+        im_bits, im_at = np.unique(bits[:, 1][rest], return_inverse=True)
         keys, at = np.unique(re_at * len(im_bits) + im_at, return_inverse=True)
         res = re_bits[keys // len(im_bits)].view(np.float64).tolist()
         ims = im_bits[keys % len(im_bits)].view(np.float64).tolist()
         # repr is what json.dumps writes for a finite float, -0.0 included
-        lines = np.array([f"  [{re!r}, {im!r}]" for re, im in zip(res, ims)], dtype=object)
-        yield ",\n".join(lines[at].tolist())
+        lines = np.array([_ZERO, *(f"  [{re!r}, {im!r}]" for re, im in zip(res, ims))], dtype=object)
+        line_at = np.zeros(len(bits), np.intp)
+        line_at[rest] = at + 1
+        formatted += len(keys)
+        yield ",\n".join(lines[line_at].tolist())
+    logger.debug("write state: %d entries, %d distinct lines formatted", len(pairs), formatted)
 
 
 def state_to_text(state: QuantumState, note: str | None = None) -> str:
@@ -120,59 +143,101 @@ def _check_head(doc: dict, cap: int | None) -> tuple[SystemLayout, str, int]:
     return layout, rep, dim if rep == "pure" else dim * dim
 
 
-def _read_body(text: str, start: int, stop: int, expected: int) -> np.ndarray | None:
-    """The pairs of the entry lines in text[start:stop], or None if any check fails.
+def _parse_lines(lines: list[str]) -> tuple[np.ndarray, int] | None:
+    """The pairs of entry lines that hold no ",\n", with the count of distinct
+    lines, or None if any check fails.
 
-    Each chunk's distinct lines are parsed by one json.loads of their join,
-    then gathered by each line's position among them.
+    The distinct lines are parsed by one json.loads of their join, then
+    gathered by each line's position among them.
     """
-    out = np.empty((expected, 2))
+    index = dict.fromkeys(lines)
+    joined = ",\n".join(index)
+    # no line holds ",\n", so this proves every line is one "  [...]" pair
+    if not (joined.startswith("  [") and joined.endswith("]")
+            and joined.count("],\n  [") == len(index) - 1):
+        return None
+    try:
+        pairs = _check_entries(json.loads(f"[{joined}]"), len(index))
+    except (json.JSONDecodeError, StateFileError):
+        return None
+    if len(index) < len(lines):
+        for i, line in enumerate(index):
+            index[line] = i
+        pairs = pairs[np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))]
+    return pairs, len(index)
+
+
+def _read_body(text: str, start: int, stop: int, expected: int) -> tuple[np.ndarray, list[int]] | None:
+    """The pairs of the entry lines in text[start:stop] and the counts of
+    zero, parsed and distinct lines, or None if any check fails.
+
+    Lines are the pieces between ",\n" separators, as str.split finds them.
+    Each window ends at a separator; the lines that are exactly the zero
+    line are left as zeros of the output, and the rest are parsed.
+    """
+    out = np.zeros((expected, 2))
     filled = 0
+    counts = [0, 0, 0]
     while start < stop:
-        window = text[start:min(start + _WINDOW, stop)]
-        lines = window.split(",\n", CHUNK)
-        if len(lines) > CHUNK or start + len(window) < stop:
-            # the last piece is the unsplit rest, or a line cut by the window
-            start += len(window) - len(lines.pop())
-        else:
-            start = stop
-        if not lines or filled + len(lines) > expected:
-            return None
-        index = dict.fromkeys(lines)
-        joined = ",\n".join(index)
-        # no line holds ",\n", so this proves every line is one "  [...]" pair
-        if not (joined.startswith("  [") and joined.endswith("]")
-                and joined.count("],\n  [") == len(index) - 1):
+        end = stop if stop - start <= _WINDOW else text.rfind(",\n", start, start + _WINDOW)
+        if end <= start:
             return None
         try:
-            pairs = _check_entries(json.loads(f"[{joined}]"), len(index))
-        except (json.JSONDecodeError, StateFileError):
+            # an entry line is ASCII, and one byte per character keeps positions
+            window = np.frombuffer(text[start:end].encode("ascii"), np.uint8)
+        except UnicodeEncodeError:
             return None
-        dest = out[filled:filled + len(lines)]
-        if len(index) == len(lines):
-            dest[...] = pairs
-        else:
-            for i, line in enumerate(index):
-                index[line] = i
-            at = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
-            np.take(pairs, at, axis=0, out=dest)
-        filled += len(lines)
-    return out if filled == expected else None
+        start = end + 2
+        sep = np.flatnonzero((window[:-1] == ord(",")) & (window[1:] == ord("\n")))
+        starts = np.concatenate(([0], sep + 2))
+        if filled + len(starts) > expected:
+            return None
+        lengths = np.append(sep, len(window)) - starts
+        zero = lengths == len(_ZERO)
+        if zero.any():
+            words = np.ndarray((len(window) - 7,), "<u8", window, strides=(1,))
+            at = starts[zero]
+            zero[zero] = (words[at] == _ZERO_WORDS[0]) & (words[at + 4] == _ZERO_WORDS[1])
+        rest = np.flatnonzero(~zero)
+        if len(rest):
+            # each kept line with the separator after it: the join of the kept
+            # lines, in which every ",\n" is one of theirs
+            keep = np.repeat(~zero, np.diff(starts, append=len(window)))
+            lines = window[keep].tobytes().decode("ascii").removesuffix(",\n").split(",\n")
+            parsed = _parse_lines(lines)
+            if parsed is None:
+                return None
+            out[filled + rest] = parsed[0]
+            counts[2] += parsed[1]
+        counts[0] += len(starts) - len(rest)
+        counts[1] += len(rest)
+        filled += len(starts)
+    return (out, counts) if filled == expected else None
+
+
+def _writer_head(text: str, ends_with_tail: bool, cap: int | None) -> tuple[int, SystemLayout, str, int] | None:
+    """Where the body starts, with the checked head, for text that opens in
+    the writer's shape and whose whole ends with its tail; None otherwise."""
+    at = text.find(_ENTRIES)
+    if at <= 0 or text[at - 1] != "," or not ends_with_tail:
+        return None
+    try:
+        doc = json.loads(text[:at - 1] + "}")
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    return at + len(_ENTRIES), *_check_head(doc, cap)
 
 
 def text_to_state(text: str, cap: int | None = None) -> QuantumState:
-    pairs = None
-    at = text.find(_ENTRIES)
-    if at > 0 and text[at - 1] == "," and text.endswith(_TAIL):
-        # the writer's shape: check the head alone before touching the body
-        try:
-            doc = json.loads(text[:at - 1] + "}")
-        except json.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict):
-            layout, rep, expected = _check_head(doc, cap)
-            pairs = _read_body(text, at + len(_ENTRIES), len(text) - len(_TAIL), expected)
-    if pairs is None:
+    body = None
+    head = _writer_head(text, text.endswith(_TAIL), cap)
+    if head is not None:
+        # the writer's shape, whose head _writer_head checked before the body
+        at, layout, rep, expected = head
+        body = _read_body(text, at, len(text) - len(_TAIL), expected)
+    if body is None:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
@@ -183,7 +248,13 @@ def text_to_state(text: str, cap: int | None = None) -> QuantumState:
         entries = doc.get("entries")
         if not isinstance(entries, list):
             raise StateFileError("missing or malformed entries")
-        pairs = _check_entries(entries, expected)
+        body = _check_entries(entries, expected), [0, expected, expected]
+        path = "document"
+    else:
+        path = "lines"
+    pairs, (zero, parsed, distinct) = body
+    logger.debug("read state: %d entries, %d zero lines, %d parsed lines, %d distinct lines, path %s",
+                 expected, zero, parsed, distinct, path)
     # the checked pairs are the complex buffer itself: exact for every sign
     data = pairs.view(np.complex128).reshape(-1)
     try:
@@ -204,9 +275,33 @@ def write_state(state: QuantumState, path: str | Path, note: str | None = None) 
         f.write(_TAIL)
 
 
+def _check_file_head(f: BinaryIO, cap: int | None) -> None:
+    """Refuse a file in the writer's shape for its head before its body is read.
+
+    The refusal is the one text_to_state gives for the whole text, which a
+    byte of the body that is not UTF-8 would have preempted. A head that is
+    not in the first _HEAD_BYTES, or not UTF-8, is left to the whole read,
+    which names the first byte that does not decode.
+    """
+    head = f.read(_HEAD_BYTES)
+    f.seek(max(f.seek(0, os.SEEK_END) - len(_TAIL), 0))
+    ends_with_tail = f.read() == _TAIL.encode()
+    f.seek(0)
+    at = head.find(_ENTRIES.encode())
+    if at > 0:
+        try:
+            text = head[:at + len(_ENTRIES)].decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        _writer_head(text, ends_with_tail, cap)
+
+
 def read_state(path: str | Path, cap: int | None = None) -> QuantumState:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            if f.seekable():
+                _check_file_head(f, cap)
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise StateFileError(f"cannot read {path}: {e}") from None
     return text_to_state(text, cap=cap)

@@ -159,6 +159,23 @@ def test_verify_missing_file(tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == 65
 
 
+@pytest.mark.parametrize("where", ["head", "body"])
+def test_a_byte_that_is_not_utf8_is_named_at_its_file_position(where, tmp_path, capsys, max_ent):
+    path = tmp_path / "pair.json"
+    q.write_state(max_ent.to_density(), path)
+    data = path.read_bytes()
+    at = data.index(b'"info"') + 1 if where == "head" else data.rindex(b"[0.0, 0.0]") + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    assert main(["verify", str(path)]) == 65
+    assert capsys.readouterr().err == (
+        f"state file error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {at}: invalid start byte\n")
+    # the head is checked before the body is decoded: an over-cap head is refused for the cap
+    assert main(["verify", "--cap", "2", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert ("exceeds cap 2" in err) == (where == "body")
+
+
 # -- usage errors --------------------------------------------------------
 
 

@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,3 +518,219 @@ def test_lines_that_split_a_pair_are_not_read_as_pairs(max_ent):
     with pytest.raises(StateFileError) as got:
         q.text_to_state(bad)
     assert str(got.value) == f"not valid JSON: {want.value}"
+
+
+# -- the zero-line reader and writer --------------------------------------------
+
+
+def document_result(text):
+    """What the whole-document path gives for text: a state, a StateFileError text or json's message."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        return f"not valid JSON: {e}"
+    return read_or_message(json.dumps(doc))
+
+
+def assert_reads_as_the_document(text):
+    got, want = read_or_message(text), document_result(text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.layout == want.layout and got.is_pure == want.is_pure
+        assert buffer(got).tobytes() == buffer(want).tobytes()
+
+
+ZERO_VARIANTS = [
+    "  [0.0, -0.0]", "  [-0.0, 0.0]", "  [0, 0]", "  [0.0,0.0]", "  [0.00, 0.0]", "  [0.0, 0.0e0]",
+    "  [0.0, 0.0] ", "  [0.0, 0.0]\r", " [0.0, 0.0] ", "  [0.0, 0.0é]", '  ["é", 0.0]', "  [0.0, 0.0][",
+    # twelve characters that share one of the zero line's two 8-byte words
+    "  [0.0, 0.5]", "  [9.0, 0.0]",
+]
+
+
+def body_lines(text):
+    lines = text.split("\n")
+    return lines, lines.index(' "entries": [') + 1
+
+
+def vary_line(text, i, variant):
+    """text with body line i (counted from 0) spelled as variant, its separator kept."""
+    lines, head = body_lines(text)
+    line = lines[head + i]
+    assert line.rstrip(",") == "  [0.0, 0.0]"
+    lines[head + i] = variant + line[len("  [0.0, 0.0]"):]
+    return "\n".join(lines)
+
+
+def zero_last_density():
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(np.complex128)
+    m[0, 1], m[1, 0] = 0.25j, -0.25j
+    return q.QuantumState(q.standard_layout(2, 1), matrix=m)
+
+
+@pytest.mark.parametrize("window", [17, 40, statefile._WINDOW])
+def test_zero_line_variants_read_as_the_whole_document(window, monkeypatch, caplog):
+    # 17 characters hold the longest line and its separator, so most windows are one
+    # line; 40 holds two or three lines and cuts the next at many places
+    monkeypatch.setattr(statefile, "_WINDOW", window)
+    text = q.state_to_text(zero_last_density())
+    lines, head = body_lines(text)
+    assert lines[head + 15] == "  [0.0, 0.0]"
+    zeros = [i for i in range(16) if lines[head + i].rstrip(",") == "  [0.0, 0.0]"]
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    assert_reads_as_the_document(text)
+    read = caplog.messages[0]
+    assert read.startswith("read state: 16 entries, 12 zero lines, 4 parsed lines, ") and read.endswith(" path lines")
+    for variant in ZERO_VARIANTS:
+        for i in (zeros[0], zeros[len(zeros) // 2], 15):
+            assert_reads_as_the_document(vary_line(text, i, variant))
+        assert_reads_as_the_document("\n".join(
+            line if not line.startswith("  [0.0, 0.0]") else variant + line[12:] for line in text.split("\n")))
+    # \r\n separators, everywhere and at one line
+    assert_reads_as_the_document(text.replace(",\n", ",\r\n"))
+    assert_reads_as_the_document(text.replace(",\n", ",\r\n", 5))
+    assert_reads_as_the_document(text.replace("\n", "\r\n"))
+    # a non-ASCII character in a body line, in the head, and JSON whitespace inside a pair
+    assert_reads_as_the_document(text.replace("  [0.5, 0.0]", "  [0.5, 0.0] ", 1))
+    assert_reads_as_the_document(text.replace('"info"', '"été"', 1))
+    assert_reads_as_the_document(text.replace("  [0.5, 0.0]", "  [0.5\n, 0.0]", 1))
+    assert_reads_as_the_document(text.replace("  [0.0, 0.0],\n", "  [0.0, 0.0],\n,\n", 1))
+    # the split-pair lines of test_lines_that_split_a_pair_are_not_read_as_pairs
+    lines[head + 1], lines[head + 2], lines[head + 4] = "  [0.0, 0.0], [0.0,", "  0.0],", "  0.0],"
+    assert_reads_as_the_document("\n".join(lines))
+
+
+def test_zero_lines_at_the_window_edges_read_as_the_whole_document():
+    # 65,536 entries span four windows of the default size
+    composite, _ = q.compose(q.maximally_entangled(2), q.build_example_state(), check=False)
+    text = q.state_to_text(composite.to_density())
+    lines, head = body_lines(text)
+    assert len(text) > 3 * statefile._WINDOW
+    body_start = len("\n".join(lines[:head])) + 1
+    # the line that holds the first window's last character, and its neighbours
+    edge = text.count("\n", body_start, body_start + statefile._WINDOW)
+    picked = [i for i in range(edge - 2, edge + 3) if lines[head + i] == "  [0.0, 0.0],"]
+    assert picked
+    assert_reads_as_the_document(text)
+    for variant in ("  [0.0, -0.0]", "  [0, 0]", "  [0.0, 0.0] ", "  [0.0, 0.0é]"):
+        for i in picked:
+            assert_reads_as_the_document(vary_line(text, i, variant))
+
+
+def test_reading_the_composite_parses_under_one_percent_of_its_body(golden, loads_sizes, caplog):
+    state = golden["composite-1024"]
+    text = q.state_to_text(state)
+    body = len(text) - text.index(statefile._ENTRIES)
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    loads_sizes.clear()
+    back = q.text_to_state(text)
+    assert sum(loads_sizes) < body / 100
+    assert buffer(back).tobytes() == buffer(state).tobytes()
+    bits = statefile._pairs_of(state).view(np.uint64)
+    nonzero = int(np.count_nonzero(bits[:, 0] | bits[:, 1]))
+    assert 0 < nonzero < 2**20 // 100
+    reads = [m for m in caplog.messages if m.startswith("read state:")]
+    assert len(reads) == 1
+    parts = reads[0].split(", ")
+    assert parts[:3] == [f"read state: {2**20} entries", f"{2**20 - nonzero} zero lines", f"{nonzero} parsed lines"]
+    assert parts[4] == "path lines"
+    # each window parses its own distinct lines once
+    distinct = int(parts[3].removesuffix(" distinct lines"))
+    lines, at = body_lines(text)
+    assert len(set(lines[at:-3]) - {"  [0.0, 0.0],", "  [0.0, 0.0]"}) <= distinct < nonzero
+
+
+@pytest.mark.parametrize("name", ["composite-1024", "signed-zero-density", "signed-zero-vector", "edge-values",
+                                  "private-random"])
+def test_writer_sorts_only_the_entries_that_are_not_plus_zero(golden, name, monkeypatch, caplog):
+    state = golden[name]
+    bits = statefile._pairs_of(state).view(np.uint64)
+    nonzero = int(np.count_nonzero(bits[:, 0] | bits[:, 1]))
+    sizes = []
+    unique = statefile.np.unique
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(statefile.np, "unique", spy)
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    text = q.state_to_text(state)
+    monkeypatch.undo()
+    # three calls per chunk, each on that chunk's entries that are not (+0.0, +0.0)
+    assert max(sizes) <= nonzero and sum(sizes) == 3 * nonzero
+    writes = [m for m in caplog.messages if m.startswith("write state:")]
+    assert len(writes) == 1 and writes[0].startswith(f"write state: {len(bits)} entries, ")
+    if len(bits) <= CHUNK:
+        # one chunk: each distinct line but the zero line is formatted once
+        lines, at = body_lines(text)
+        distinct = len({line.removesuffix(",") for line in lines[at:-3]} - {"  [0.0, 0.0]"})
+        assert writes[0].endswith(f", {distinct} distinct lines formatted")
+
+
+def test_document_reads_log_their_path(max_ent, caplog):
+    caplog.set_level(logging.DEBUG, logger="qcrkit")
+    text = q.state_to_text(max_ent.to_density())
+    q.text_to_state(json.dumps(json.loads(text)))
+    q.text_to_state(text)
+    assert [m for m in caplog.messages if m.startswith("read state:")] == [
+        "read state: 16 entries, 0 zero lines, 16 parsed lines, 16 distinct lines, path document",
+        "read state: 16 entries, 12 zero lines, 4 parsed lines, 1 distinct lines, path lines",
+    ]
+
+
+def test_over_cap_file_is_refused_before_its_body_is_read(golden, tmp_path):
+    path = tmp_path / "composite.json"
+    q.write_state(golden["composite-1024"], path)
+    assert path.stat().st_size > 14 * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError, match="^state dimension 1024 exceeds cap 512$"):
+            q.read_state(path, cap=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # the body is never decoded, so a byte that is not UTF-8 there does not change the refusal
+    data = path.read_bytes()
+    at = data.index(b"[0.0, 0.0]", len(data) // 2)
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(StateFileError, match="^state dimension 1024 exceeds cap 512$"):
+        q.read_state(path, cap=512)
+    with pytest.raises(StateFileError, match=f"in position {at}: invalid start byte$"):
+        q.read_state(path)
+
+
+def state_or_message(read, source, cap):
+    try:
+        return buffer(read(source, cap=cap)).tobytes()
+    except StateFileError as e:
+        return str(e)
+
+
+def test_file_reads_keep_the_text_reads_refusals(max_ent, tmp_path):
+    # read_state refuses a file for its head before reading the body only where
+    # text_to_state would refuse the whole text for it: a broken tail is a JSON error
+    text = q.state_to_text(max_ent.to_density())
+    path = tmp_path / "pair.json"
+    copies = [text, text[:-3], text + "x", text.replace(',\n "entries"', '\n "entries"'),
+              text.replace('"density"', '"mixed"'), text.replace('"qcr-state/1"', '"qcr-state/2"')]
+    for copy in copies:
+        path.write_text(copy)
+        for cap in (None, 2):
+            assert state_or_message(q.read_state, path, cap) == state_or_message(q.text_to_state, copy, cap)
+
+
+def test_a_state_file_reads_from_a_pipe(tmp_path, example_state):
+    # a pipe cannot seek, so its head is checked with the rest, as text_to_state does
+    fifo = tmp_path / "state.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(q.state_to_text(example_state),), daemon=True)
+    writer.start()
+    try:
+        back = q.read_state(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.vector.tobytes() == example_state.vector.tobytes()
