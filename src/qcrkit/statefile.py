@@ -48,8 +48,6 @@ _HEAD_BYTES = 2**16
 _ENTRIES = '\n "entries": [\n'
 _TAIL = "\n ]\n}\n"
 _ZERO = "  [0.0, 0.0]"
-# the zero line's two 8-byte words, at offsets 0 and 4: together they cover its 12 bytes
-_ZERO_WORDS = np.frombuffer(_ZERO[:8].encode() + _ZERO[4:].encode(), "<u8")
 _NUMBER_PAIRS = "entries must be [real, imaginary] number pairs"
 
 
@@ -167,6 +165,16 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, int] | None:
     return pairs, len(index)
 
 
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word that starts at each byte of buf, as a view."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+
+
+# a 12-byte line is the zero line when its words at offsets 0 and 4, which
+# cover bytes 0-7 and 4-11, are these; two compares instead of twelve
+_ZERO_WORDS = _words(np.frombuffer(_ZERO.encode(), np.uint8))[[0, 4]]
+
+
 def _read_body(text: str, start: int, stop: int, expected: int) -> tuple[np.ndarray, list[int]] | None:
     """The pairs of the entry lines in text[start:stop] and the counts of
     zero, parsed and distinct lines, or None if any check fails.
@@ -195,15 +203,15 @@ def _read_body(text: str, start: int, stop: int, expected: int) -> tuple[np.ndar
         lengths = np.append(sep, len(window)) - starts
         zero = lengths == len(_ZERO)
         if zero.any():
-            words = np.ndarray((len(window) - 7,), "<u8", window, strides=(1,))
-            at = starts[zero]
+            words, at = _words(window), starts[zero]
             zero[zero] = (words[at] == _ZERO_WORDS[0]) & (words[at + 4] == _ZERO_WORDS[1])
         rest = np.flatnonzero(~zero)
         if len(rest):
-            # each kept line with the separator after it: the join of the kept
-            # lines, in which every ",\n" is one of theirs
+            # each kept line with the separator after it, which the window's last
+            # line lacks: the join of the kept lines, in which every ",\n" is one of theirs
             keep = np.repeat(~zero, np.diff(starts, append=len(window)))
-            lines = window[keep].tobytes().decode("ascii").removesuffix(",\n").split(",\n")
+            joined = window[keep].tobytes().decode("ascii")
+            lines = (joined[:-2] if zero[-1] else joined).split(",\n")
             parsed = _parse_lines(lines)
             if parsed is None:
                 return None
@@ -288,7 +296,8 @@ def _check_file_head(f: BinaryIO, cap: int | None) -> None:
     ends_with_tail = f.read() == _TAIL.encode()
     f.seek(0)
     at = head.find(_ENTRIES.encode())
-    if at > 0:
+    # a "\r" would move the head that the text-mode read finds
+    if at > 0 and b"\r" not in head[:at]:
         try:
             text = head[:at + len(_ENTRIES)].decode("utf-8")
         except UnicodeDecodeError:
@@ -298,10 +307,12 @@ def _check_file_head(f: BinaryIO, cap: int | None) -> None:
 
 def read_state(path: str | Path, cap: int | None = None) -> QuantumState:
     try:
-        with open(path, "rb") as f:
+        # text mode, as Path.read_text: universal newlines, and one whole read
+        # whose decode error names its byte's place in the file
+        with open(path, encoding="utf-8") as f:
             if f.seekable():
-                _check_file_head(f, cap)
-            text = f.read().decode("utf-8")
+                _check_file_head(f.buffer, cap)
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise StateFileError(f"cannot read {path}: {e}") from None
     return text_to_state(text, cap=cap)

@@ -734,3 +734,58 @@ def test_a_state_file_reads_from_a_pipe(tmp_path, example_state):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert back.vector.tobytes() == example_state.vector.tobytes()
+
+
+def blank_line_copies(text):
+    """Copies of text with an empty body line after a line that is not the zero
+    line: in place of the last entry line, its comma kept on the line before,
+    and inserted after each such line in turn."""
+    lines, head = body_lines(text)
+    entries = len(lines) - head - 3
+    kept = [i for i in range(entries) if lines[head + i].rstrip(",") != "  [0.0, 0.0]"]
+    assert kept
+    last = lines[:]
+    last[head + entries - 1] = ""
+    copies = ["\n".join(last)]
+    for i in kept:
+        copies.append("\n".join(lines[:head + i + 1] + [","] + lines[head + i + 1:]) if i < entries - 1
+                      else "\n".join(lines[:head + i] + [lines[head + i] + ",", ""] + lines[head + i + 1:]))
+    return copies
+
+
+@pytest.mark.parametrize("make", [
+    lambda: q.maximally_entangled(2),
+    lambda: q.maximally_entangled(2).to_density(),
+    zero_last_density,
+], ids=["pure", "density", "zero-last"])
+def test_blank_lines_after_kept_lines_read_as_the_whole_document(make, monkeypatch):
+    # every window size from one that holds the longest line up: the window edges
+    # fall on each blank line, so some windows end with an empty line
+    text = q.state_to_text(make())
+    copies = blank_line_copies(text)
+    for window in [*range(17, 64), statefile._WINDOW]:
+        monkeypatch.setattr(statefile, "_WINDOW", window)
+        for copy in copies:
+            assert_reads_as_the_document(copy)
+
+
+def test_file_reads_take_newlines_as_a_text_mode_read_does(max_ent, golden, tmp_path):
+    # read_state reads as Path.read_text does, so "\r\n" and a lone "\r" are "\n"
+    text = q.state_to_text(max_ent.to_density())
+    path = tmp_path / "pair.json"
+    copies = [text, text[:-3], text + "x", text.replace('"density"', '"mixed"'),
+              text.replace(',\n "entries"', ',\r "entries"'),
+              # a "\r" before the writer's head: the text read finds the first head
+              text.replace('{\n', '{\n "format": "qcr-state/2",\r "entries": [\n  [0]],\n', 1)]
+    for copy in copies:
+        for newline in ("\n", "\r\n", "\r"):
+            path.write_bytes(copy.replace("\n", newline).encode())
+            for cap in (None, 2):
+                want = state_or_message(q.text_to_state, path.read_text(encoding="utf-8"), cap)
+                assert state_or_message(q.read_state, path, cap) == want
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert buffer(q.read_state(path)).tobytes() == buffer(max_ent.to_density()).tobytes()
+    # an over-cap file with "\r\n" lines is refused for its head, as with "\n"
+    path.write_bytes(q.state_to_text(golden["composite-1024"]).replace("\n", "\r\n").encode())
+    with pytest.raises(StateFileError, match="^state dimension 1024 exceeds cap 512$"):
+        q.read_state(path, cap=512)
