@@ -6,8 +6,12 @@ failure, 2 informational non-PPT finding, 64 usage or parameter errors
 and unwritable output paths, 65 unreadable or malformed state files.
 
 A JSON config file named by the QCRKIT_CONFIG environment variable supplies
-defaults for tol / cap / seed; command-line flags win. It may also hold
-report_format, which must be "json" and changes nothing.
+defaults for tol / cap / seed; command-line flags win, and each command's
+parser names the tolerance used when neither gives one. The config may also
+hold report_format, which must be "json" and changes nothing.
+
+Each command returns its exit code and its report body; ``main`` alone
+writes the ``--report`` document, format and command first.
 """
 from __future__ import annotations
 
@@ -94,9 +98,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> None:
-    """Fill tol, cap and seed from the config file where no flag gave them."""
+    """Fill tol, cap and seed from the config file where no flag gave them.
+
+    A tol that neither gives is the command's own default_tol.
+    """
     path = os.environ.get(ENV_CONFIG)
     doc = _load_config_file(path) if path else {}
+    doc.setdefault("tol", args.default_tol)
     for key in ("tol", "cap", "seed"):
         if getattr(args, key) is None:
             setattr(args, key, doc.get(key))
@@ -134,13 +142,6 @@ def _digit_key(digits: Sequence[int], d: int) -> str:
     return sep.join(str(x) for x in digits)
 
 
-def _write_report(args: argparse.Namespace, doc: dict) -> None:
-    if args.report is None:
-        return
-    doc = {"format": REPORT_FORMAT, **doc}
-    Path(args.report).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _rng_for(args: argparse.Namespace, what: str) -> np.random.Generator:
     if args.seed is None:
         raise CliError(
@@ -174,11 +175,11 @@ def _print_verification(report) -> None:
 
 
 # -- commands ----------------------------------------------------------
+# each returns its exit code and the body of its report document
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> tuple[int, dict]:
     fam = args.family
-    tol = args.tol if args.tol is not None else defaults.VERIFY_TOL
     verification = None
     if fam == "example":
         state = build_example_state()
@@ -207,7 +208,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             rng = _rng_for(args, "a twisted construction")
             base = build_ghz_qcr(args.d, n, ShieldSeed.basis_zero(dims), cap=args.cap)
             twist = random_party_twist(base.layout, rng)
-            state, verification = build_twisted_qcr(base, twist, tol=tol)
+            state, verification = build_twisted_qcr(base, twist, tol=args.tol)
 
     note = f"constructed by qcr construct {fam}"
     write_state(state, args.out, note=note)
@@ -221,7 +222,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     for key, p in dist.items():
         print(f"  {key}  {p:.12g}")
     doc = {
-        "command": "construct",
         "family": fam,
         "out": args.out,
         "dimension": state.dim,
@@ -236,24 +236,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
         _print_verification(verification)
         if not verification.verdict:
             code = EXIT_VERIFY_FAIL
-    _write_report(args, doc)
-    return code
+    return code, doc
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     state = read_state(args.state, cap=args.cap)
-    tol = args.tol if args.tol is not None else defaults.VERIFY_TOL
-    report = is_qcr(state, tol=tol, exhaustive=args.exhaustive)
-    print(f"input: {args.state}  (dim {state.dim}, tol {tol:g}"
+    report = is_qcr(state, tol=args.tol, exhaustive=args.exhaustive)
+    print(f"input: {args.state}  (dim {state.dim}, tol {args.tol:g}"
           + (", exhaustive coalitions)" if args.exhaustive else ")"))
     _print_verification(report)
-    _write_report(args, {"command": "verify", "input": str(args.state), **report.to_dict()})
-    return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
+    code = EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
+    return code, {"input": str(args.state), **report.to_dict()}
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> tuple[int, dict]:
     state = read_state(args.state, cap=args.cap)
-    tol = args.tol if args.tol is not None else defaults.PROTOCOL_TOL
     players = state.layout.players
     keep = args.keep
     unknown = set(keep) - set(players)
@@ -264,13 +261,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     dishonest = tuple(p for p in players if p not in set(keep))
     if not dishonest:
         raise CliError(EXIT_USAGE, "--keep lists every player; nothing to measure out")
-    outcomes = reduce(state, dishonest, outcome=args.branch, check=True, tol=tol)
+    outcomes = reduce(state, dishonest, outcome=args.branch, check=True, tol=args.tol)
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
     branches_doc = []
     all_pass = True
-    print(f"measured out {','.join(dishonest)} (kept {','.join(keep)}), tol {tol:g}")
+    print(f"measured out {','.join(dishonest)} (kept {','.join(keep)}), tol {args.tol:g}")
     for oc in outcomes:
-        rep = is_qcr(oc.state, tol=tol)
+        rep = is_qcr(oc.state, tol=args.tol)
         all_pass = all_pass and rep.verdict
         path = f"{stem}.b{_digit_key(oc.digits, state.layout.qudit_dim)}.json"
         write_state(oc.state, path, note=f"reduce branch digits={list(oc.digits)} beta={oc.beta}")
@@ -278,37 +275,32 @@ def cmd_reduce(args: argparse.Namespace) -> int:
               f"  correction={'yes' if oc.correction_applied else 'no'}"
               f"  verify={'PASS' if rep.verdict else 'FAIL'}  -> {path}")
         branches_doc.append({**oc.to_dict(), "file": path, "verification": rep.to_dict()})
-    _write_report(args, {
-        "command": "reduce",
+    return (EXIT_OK if all_pass else EXIT_VERIFY_FAIL), {
         "input": str(args.state),
         "kept": list(keep),
         "dishonest": list(dishonest),
-        "tol": tol,
+        "tol": args.tol,
         "all_branches_pass": all_pass,
         "branches": branches_doc,
-    })
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
+    }
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
+def cmd_compose(args: argparse.Namespace) -> tuple[int, dict]:
     a = read_state(args.state_a, cap=args.cap)
     b = read_state(args.state_b, cap=args.cap)
-    tol = args.tol if args.tol is not None else defaults.PROTOCOL_TOL
-    merged, record = compose(a, b, check=not args.force, tol=tol, cap=args.cap)
-    report = is_qcr(merged, tol=tol)
+    merged, record = compose(a, b, check=not args.force, tol=args.tol, cap=args.cap)
+    report = is_qcr(merged, tol=args.tol)
     write_state(merged, args.out, note=f"composed from {args.state_a} and {args.state_b}")
     print(f"wrote {args.out}  (dim {merged.dim}, {merged.layout.n_players} players)")
     print(f"applied {record.unitary_descriptor}")
     _print_verification(report)
-    _write_report(args, {
-        "command": "compose",
+    return (EXIT_OK if report.verdict else EXIT_VERIFY_FAIL), {
         "inputs": [str(args.state_a), str(args.state_b)],
         "out": args.out,
-        "tol": tol,
+        "tol": args.tol,
         "record": record.to_dict(),
         "verification": report.to_dict(),
-    })
-    return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
+    }
 
 
 def _all_cuts(state: QuantumState) -> list[CutSpec]:
@@ -322,42 +314,36 @@ def _all_cuts(state: QuantumState) -> list[CutSpec]:
     ]
 
 
-def cmd_ppt(args: argparse.Namespace) -> int:
+def cmd_ppt(args: argparse.Namespace) -> tuple[int, dict]:
     if args.side_two is not None and args.cuts != "explicit":
         raise CliError(EXIT_USAGE, "--side-two needs --cuts explicit")
     if args.cuts == "explicit" and not args.side_two:
         raise CliError(EXIT_USAGE, "--cuts explicit needs --side-two LABELS")
     state = read_state(args.state, cap=args.cap)
-    tol = args.tol if args.tol is not None else defaults.PPT_TOL
     if args.cuts == "dealer":
-        report = all_dealer_cuts_ppt(state, tol=tol)
+        report = all_dealer_cuts_ppt(state, tol=args.tol)
     else:
         cuts = (_all_cuts(state) if args.cuts == "all"
                 else [CutSpec.from_side_two(state.layout, args.side_two)])
-        report = ppt_report(state, cuts, tol=tol)
-    print(f"input: {args.state}  (dim {state.dim}, tol {tol:g})")
+        report = ppt_report(state, cuts, tol=args.tol)
+    print(f"input: {args.state}  (dim {state.dim}, tol {args.tol:g})")
     for c in report.cuts:
         print(f"  cut [{' '.join(c.side_one)} | {' '.join(c.side_two)}]"
               f"  min eigenvalue {c.min_eigenvalue:.12g}  {'PPT' if c.ppt else 'non-PPT'}")
     print(f"overall: {'all cuts PPT' if report.all_ppt else 'non-PPT cut found'}")
-    _write_report(args, {"command": "ppt", "input": str(args.state), **report.to_dict()})
-    return EXIT_OK if report.all_ppt else EXIT_NON_PPT
+    code = EXIT_OK if report.all_ppt else EXIT_NON_PPT
+    return code, {"input": str(args.state), **report.to_dict()}
 
 
-def cmd_distance(args: argparse.Namespace) -> int:
+def cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
     a = read_state(args.state_a, cap=args.cap)
     b = read_state(args.state_b, cap=args.cap)
     value = trace_distance(a, b)
     print(f"trace distance: {value:.12g}")
-    _write_report(args, {
-        "command": "distance",
-        "inputs": [str(args.state_a), str(args.state_b)],
-        "value": value,
-    })
-    return EXIT_OK
+    return EXIT_OK, {"inputs": [str(args.state_a), str(args.state_b)], "value": value}
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
+def cmd_measure(args: argparse.Namespace) -> tuple[int, dict]:
     state = read_state(args.state, cap=args.cap)
     layout = state.layout
     if args.registers:
@@ -372,13 +358,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     print(f"measurement on {', '.join(regs)}:")
     for key, p in dist.items():
         print(f"  {key}  {p:.12g}")
-    _write_report(args, {
-        "command": "measure",
-        "input": str(args.state),
-        "registers": regs,
-        "distribution": dist,
-    })
-    return EXIT_OK
+    return EXIT_OK, {"input": str(args.state), "registers": regs, "distribution": dist}
 
 
 # -- parser ------------------------------------------------------------
@@ -394,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized constructions")
     common.add_argument("--report", default=None, metavar="PATH",
                         help="write a JSON report document here")
+    common.set_defaults(default_tol=None)
 
     parser = _Parser(prog="qcr",
                      description="Construct, verify, transform, and analyze "
@@ -410,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true",
                    help="draw the shield seed (and twist, for private) randomly; needs a seed")
     p.add_argument("--out", required=True, help="output state file")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, default_tol=defaults.VERIFY_TOL)
 
     p = sub.add_parser("verify", parents=[common], help="certify a state file")
     p.add_argument("state")
     p.add_argument("--exhaustive", action="store_true",
                    help="check every coalition, not just maximal ones")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, default_tol=defaults.VERIFY_TOL)
 
     p = sub.add_parser("reduce", parents=[common],
                        help="measure out the players not listed in --keep")
@@ -427,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="select one measurement branch instead of enumerating all")
     p.add_argument("--out", required=True,
                    help="output prefix; branch files get .b<digits>.json appended")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, default_tol=defaults.PROTOCOL_TOL)
 
     p = sub.add_parser("compose", parents=[common],
                        help="merge two state files under one dealer")
@@ -436,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output state file")
     p.add_argument("--force", action="store_true",
                    help="skip input certification")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func=cmd_compose, default_tol=defaults.PROTOCOL_TOL)
 
     p = sub.add_parser("ppt", parents=[common],
                        help="partial-transpose positivity across cuts")
@@ -444,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", choices=["dealer", "all", "explicit"], default="dealer")
     p.add_argument("--side-two", type=_label_list, default=None, metavar="LABELS",
                    help="registers on the transposed side (with --cuts explicit)")
-    p.set_defaults(func=cmd_ppt)
+    p.set_defaults(func=cmd_ppt, default_tol=defaults.PPT_TOL)
 
     p = sub.add_parser("distance", parents=[common],
                        help="trace distance between two state files")
@@ -467,7 +448,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         resolve_config(args)
-        return args.func(args)
+        code, body = args.func(args)
+        if args.report is not None:
+            doc = {"format": REPORT_FORMAT, "command": args.command, **body}
+            Path(args.report).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        return code
     except CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code

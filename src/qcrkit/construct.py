@@ -333,6 +333,8 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random full(ish)-rank density matrix from a Wishart draw."""
+    if rank is not None and not is_integer_in(rank, 1):
+        raise ValueError(f"rank must be an integer >= 1, got {rank!r}")
     rank = dim if rank is None else rank
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

@@ -28,7 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, ENV_PARTY, SystemLayout, digit_sum, labeled_layout, standard_parties
+from .registers import (
+    DEALER, ENV_PARTY, SystemLayout, _require_integer, digit_sum, labeled_layout, standard_parties,
+)
 from .states import (
     QuantumState, _check_cap, _digits, _flat, _placed, _project_trace, _relabel, _rows,
     measurement_distribution,
@@ -46,6 +48,8 @@ class InputVerificationError(ValueError):
 
 def shift_matrix(d: int, beta: int) -> np.ndarray:
     """Modular shift sum_i |i+beta mod d><i|."""
+    _require_integer(d, "qudit dimension")
+    _require_integer(beta, "shift")
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     w = np.zeros((d, d), dtype=np.complex128)
@@ -59,6 +63,7 @@ def cx_matrix(d: int) -> np.ndarray:
 
     First tensor slot is the target, second the control.
     """
+    _require_integer(d, "qudit dimension")
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     m = np.zeros((d * d, d * d), dtype=np.complex128)

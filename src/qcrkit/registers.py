@@ -12,7 +12,8 @@ second and later under one name (D.shield2, E2); players are A1..An
 (``standard_parties``). Cuts: ``SystemLayout.non_env_labels`` is what a cut
 covers, and ``entanglement.CutSpec.from_side_two`` takes side one as its
 complement. Digits and dimensions: ``is_integer_in`` is the one
-integer-and-range test. The support, the digit strings that sum to t mod d:
+integer-and-range test, and ``_require_integer`` refuses by name an argument
+that fails it. The support, the digit strings that sum to t mod d:
 ``_digit_sum_mask``, read by ``index_set``, the verifier and the builders.
 """
 from __future__ import annotations
@@ -35,6 +36,12 @@ def is_integer_in(x: object, lo: float = -inf, hi: float = inf) -> bool:
     """True when x is an integer, numpy's included, with lo <= x < hi."""
     # the int test first: isinstance against the Integral ABC is several times slower
     return (type(x) is int or isinstance(x, Integral)) and lo <= x < hi
+
+
+def _require_integer(x: object, what: str) -> None:
+    """Refuse a non-integer argument by name, before any range test compares it."""
+    if not is_integer_in(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +221,7 @@ class IndexSet:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise ValueError("need at least one digit")
-        if self.modulus < 2:
-            raise ValueError("digit modulus must be >= 2")
-        if not 0 <= self.target < self.modulus:
-            raise ValueError(f"target {self.target} outside Z_{self.modulus}")
+        _check_index_params(self.digits, self.target, self.modulus)
         for m in self.members:
             if len(m) != self.digits:
                 raise ValueError(f"member {m} does not have {self.digits} digits")
@@ -246,6 +248,7 @@ class IndexSet:
 
 def digit_sum(digits: Sequence[int], modulus: int) -> int:
     """Sum of digits mod the qudit dimension."""
+    _require_integer(modulus, "digit modulus")
     if modulus < 2:
         raise ValueError("digit modulus must be >= 2")
     total = 0
@@ -258,14 +261,22 @@ def digit_sum(digits: Sequence[int], modulus: int) -> int:
 
 def index_set(digits: int, target: int, modulus: int) -> IndexSet:
     """Enumerate, in lexicographic order, strings in Z_d^k with digit sum t mod d."""
+    _check_index_params(digits, target, modulus)
+    members = tuple(map(tuple, np.argwhere(_digit_sum_mask(digits, target, modulus)).tolist()))
+    return IndexSet(digits=digits, modulus=modulus, target=target, members=members)
+
+
+def _check_index_params(digits: int, target: int, modulus: int) -> None:
+    """The refusals index_set and IndexSet share: integers first, then their ranges."""
+    _require_integer(digits, "digit count")
+    _require_integer(modulus, "digit modulus")
+    _require_integer(target, "target")
     if digits < 1:
         raise ValueError("need at least one digit")
     if modulus < 2:
         raise ValueError("digit modulus must be >= 2")
     if not 0 <= target < modulus:
         raise ValueError(f"target {target} outside Z_{modulus}")
-    members = tuple(map(tuple, np.argwhere(_digit_sum_mask(digits, target, modulus)).tolist()))
-    return IndexSet(digits=digits, modulus=modulus, target=target, members=members)
 
 
 def _digit_sum_mask(digits: int, target: int, modulus: int) -> np.ndarray:

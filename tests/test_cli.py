@@ -353,6 +353,51 @@ def test_measure_report(example_file, tmp_path):
     }
 
 
+# -- report documents ------------------------------------------------------
+
+_CONSTRUCT_KEYS = ["family", "out", "dimension", "representation", "purity", "layout",
+                   "info_distribution"]
+_VERIFY_KEYS = ["input", "verdict", "tol", "exhaustive", "failing_conditions",
+                "condition_i", "condition_ii"]
+_PPT_KEYS = ["input", "tol", "all_ppt", "cuts"]
+
+
+# each row: argv ({ex} the example, {pair} a Bell pair, {biased} a state that
+# fails verification, {basis} a product state beside the pair, {tmp} a fresh
+# directory), exit code, and the report's keys after format and command
+@pytest.mark.parametrize("argv,code,keys", [
+    pytest.param(["construct", "example", "--out", "{tmp}/c.json"], 0, _CONSTRUCT_KEYS,
+                 id="construct-example"),
+    pytest.param(["construct", "twisted", "--d", "2", "--n", "2", "--seed", "11",
+                  "--out", "{tmp}/t.json"], 0, _CONSTRUCT_KEYS + ["verification"],
+                 id="construct-twisted"),
+    pytest.param(["verify", "{ex}"], 0, _VERIFY_KEYS, id="verify-pass"),
+    pytest.param(["verify", "{biased}"], 1, _VERIFY_KEYS, id="verify-fail"),
+    pytest.param(["reduce", "{ex}", "--keep", "A1", "--out", "{tmp}/r.json"], 0,
+                 ["input", "kept", "dishonest", "tol", "all_branches_pass", "branches"],
+                 id="reduce"),
+    pytest.param(["compose", "{pair}", "{pair}", "--out", "{tmp}/m.json"], 0,
+                 ["inputs", "out", "tol", "record", "verification"], id="compose"),
+    pytest.param(["distance", "{pair}", "{basis}"], 0, ["inputs", "value"], id="distance"),
+    pytest.param(["ppt", "{pair}", "--cuts", "dealer"], 2, _PPT_KEYS, id="ppt-dealer"),
+    pytest.param(["ppt", "{pair}", "--cuts", "all"], 2, _PPT_KEYS, id="ppt-all"),
+    pytest.param(["ppt", "{pair}", "--cuts", "explicit", "--side-two", "A1.info"], 2, _PPT_KEYS,
+                 id="ppt-explicit"),
+    pytest.param(["measure", "{ex}"], 0, ["input", "registers", "distribution"], id="measure"),
+])
+def test_report_key_order(tmp_path, example_file, pair_file, biased_state, argv, code, keys):
+    biased, basis = tmp_path / "biased.json", tmp_path / "basis.json"
+    q.write_state(biased_state, biased)
+    q.write_state(q.QuantumState.basis_state(q.standard_layout(2, 1), (0,) * 4), basis)
+    report = tmp_path / "report.json"
+    argv = [a.format(ex=example_file, pair=pair_file, biased=biased, basis=basis, tmp=tmp_path)
+            for a in argv]
+    assert main(argv + ["--report", str(report)]) == code
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert list(doc) == ["format", "command"] + keys
+    assert doc["format"] == "qcr-report/1" and doc["command"] == argv[0]
+
+
 # -- config file ---------------------------------------------------------
 
 

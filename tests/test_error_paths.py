@@ -4,6 +4,7 @@ Library errors are raised in process; command-line cases go through
 ``cli.main`` so that the refusal runs in this process too.
 """
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,24 @@ def test_builder_refusals():
         for make in (lambda: q.shift_matrix(d, 0), lambda: q.cx_matrix(d)):
             with pytest.raises(ValueError, match="^qudit dimension must be >= 2$"):
                 make()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2"], ids=repr)
+def test_gates_refuse_a_dimension_or_shift_that_is_not_an_integer(bad):
+    for make, what in [(lambda: q.shift_matrix(bad, 1), "qudit dimension"),
+                       (lambda: q.cx_matrix(bad), "qudit dimension"),
+                       (lambda: q.shift_matrix(2, bad), "shift")]:
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got "
+                                             f"{re.escape(repr(bad))}$"):
+            make()
+
+
+@pytest.mark.parametrize("rank", [0, -1, 1.0, 2.5, "2"], ids=repr)
+def test_random_density_refuses_a_rank_that_is_not_an_integer_from_one(rank):
+    # rank 0 once divided a zero matrix by its zero trace and returned NaN
+    with pytest.raises(ValueError, match=f"^rank must be an integer >= 1, "
+                                         f"got {re.escape(repr(rank))}$"):
+        q.random_density(4, np.random.default_rng(1), rank=rank)
 
 
 def test_cut_and_reduction_refusals(example_state):

@@ -101,6 +101,23 @@ def test_index_set_validation():
         q.IndexSet(digits=3, modulus=2, target=0, members=((1, 0, 1), (1, 1, 0), (1, 0, 1)))
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2"], ids=repr)
+def test_index_parameters_must_be_integers(bad):
+    # 2.5 as a modulus once gave index_set(3, 1, 2.5) four members and digit_sum a float
+    for digits, target, modulus, what in [
+        (bad, 0, 3, "digit count"),
+        (2, 0, bad, "digit modulus"),
+        (2, bad, 3, "target"),
+    ]:
+        match = f"^{what} must be an integer, got "
+        with pytest.raises(ValueError, match=match):
+            q.index_set(digits, target, modulus)
+        with pytest.raises(ValueError, match=match):
+            q.IndexSet(digits=digits, modulus=modulus, target=target, members=())
+    with pytest.raises(ValueError, match="^digit modulus must be an integer, got "):
+        q.digit_sum([1, 1], bad)
+
+
 def test_digit_sum():
     assert q.digit_sum((0, 1, 1), 2) == 0
     assert q.digit_sum((2, 2), 3) == 1
