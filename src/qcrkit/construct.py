@@ -249,7 +249,6 @@ def build_twisted_qcr(
     not the construction.
     """
     layout = base.layout
-    layout.require_crypto_form()
     d = layout.qudit_dim
     n_info = len(layout.info_labels)
     support = _digit_sum_mask(n_info, 0, d)
@@ -277,7 +276,6 @@ def per_party_twist(
     the family whose outputs are QCR by construction (each party's shield is
     only ever correlated with that party's own digit).
     """
-    layout.require_crypto_form()
     d = layout.qudit_dim
     parties = (DEALER,) + layout.players
     shield_owner = {l: layout.subsystem(l).party for l in layout.shield_labels}
@@ -367,7 +365,6 @@ def random_private_state(
 
 def random_party_twist(layout: SystemLayout, rng: np.random.Generator) -> TwistingFamily:
     """Haar per-party twist on every nontrivial shield register."""
-    layout.require_crypto_form()
     d = layout.qudit_dim
     per_party: dict[str, dict[int, np.ndarray]] = {}
     for label in layout.shield_labels:

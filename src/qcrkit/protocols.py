@@ -150,7 +150,6 @@ def reduce(
     lives on the layout with the measured players' registers removed.
     """
     layout = state.layout
-    layout.require_crypto_form()
     d = layout.qudit_dim
     p2 = (dishonest,) if isinstance(dishonest, str) else tuple(dishonest)
     if not p2:
@@ -221,15 +220,14 @@ def compose(
     (a's first), and the relabeling is recorded. Addition and reorder are
     one basis permutation of kron(a, b): each pair of support rows is
     mapped to its merged row, and ``states._placed`` writes the products
-    there, into one array; cap is checked before that array is allocated.
+    there, into one array; cap is checked before the inputs are certified.
     """
-    a.layout.require_crypto_form()
-    b.layout.require_crypto_form()
     d = a.layout.qudit_dim
     if b.layout.qudit_dim != d:
         raise ValueError(
             f"qudit dimensions differ: {d} vs {b.layout.qudit_dim}"
         )
+    _check_cap(a.dim * b.dim, cap)
     if check:
         _require_certified(a, tol, "first composition input")
         _require_certified(b, tol, "second composition input")
@@ -260,7 +258,6 @@ def compose(
     n_a = len(a.layout)
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
-    _check_cap(a.dim * b.dim, cap)
     # each pair of support rows' digits in kron(a, b) order, then the addition
     digits = _digits(_rows(a)[:, None], a.dims) + _digits(_rows(b), b.dims)
     digits[target] = (digits[target] + digits[control]) % d

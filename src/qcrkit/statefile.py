@@ -15,16 +15,16 @@ start and length with numpy from its separators, and marks a line as zero
 when its 12 characters are the zero line's. The zero lines stay zeros of
 the output; only the other lines are joined and parsed, each distinct line
 of a window once, and their pairs scattered to their places. The reader
-takes this path only for text in the writer's own shape; any other JSON,
-and any window that fails a check, goes through one whole-document
-``json.loads`` with the same checks. ``read_state`` checks the head of a
-file in that shape, dimension cap included, before it reads the body.
+takes this path only for text with the writer's head and tail; any other
+JSON, and any window that fails a check, goes through one whole-document
+``json.loads`` with the same checks. The writer's head is judged first,
+dimension cap included, whatever the tail or line ends, and ``read_state``
+judges a file's head before it reads the rest of the file.
 """
 from __future__ import annotations
 
 import json
 import logging
-import os
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
@@ -223,11 +223,11 @@ def _read_body(text: str, start: int, stop: int, expected: int) -> tuple[np.ndar
     return (out, counts) if filled == expected else None
 
 
-def _writer_head(text: str, ends_with_tail: bool, cap: int | None) -> tuple[int, SystemLayout, str, int] | None:
+def _writer_head(text: str, cap: int | None) -> tuple[int, SystemLayout, str, int] | None:
     """Where the body starts, with the checked head, for text that opens in
-    the writer's shape and whose whole ends with its tail; None otherwise."""
+    the writer's shape, whatever its tail; None otherwise."""
     at = text.find(_ENTRIES)
-    if at <= 0 or text[at - 1] != "," or not ends_with_tail:
+    if at <= 0 or text[at - 1] != ",":
         return None
     try:
         doc = json.loads(text[:at - 1] + "}")
@@ -240,8 +240,8 @@ def _writer_head(text: str, ends_with_tail: bool, cap: int | None) -> tuple[int,
 
 def text_to_state(text: str, cap: int | None = None) -> QuantumState:
     body = None
-    head = _writer_head(text, text.endswith(_TAIL), cap)
-    if head is not None:
+    head = _writer_head(text, cap)
+    if head is not None and text.endswith(_TAIL):
         # the writer's shape, whose head _writer_head checked before the body
         at, layout, rep, expected = head
         body = _read_body(text, at, len(text) - len(_TAIL), expected)
@@ -286,23 +286,21 @@ def write_state(state: QuantumState, path: str | Path, note: str | None = None) 
 def _check_file_head(f: BinaryIO, cap: int | None) -> None:
     """Refuse a file in the writer's shape for its head before its body is read.
 
-    The refusal is the one text_to_state gives for the whole text, which a
-    byte of the body that is not UTF-8 would have preempted. A head that is
-    not in the first _HEAD_BYTES, or not UTF-8, is left to the whole read,
-    which names the first byte that does not decode.
+    The head runs through the line holding ``"entries": [``, its line ends
+    read as the text-mode read reads them, and is judged whatever the tail,
+    as text_to_state judges it; a body byte that is not UTF-8 would preempt
+    that. A head not in the first _HEAD_BYTES, or not UTF-8, is left to the
+    whole read, which names the first byte that does not decode.
     """
-    head = f.read(_HEAD_BYTES)
-    f.seek(max(f.seek(0, os.SEEK_END) - len(_TAIL), 0))
-    ends_with_tail = f.read() == _TAIL.encode()
+    head = f.read(_HEAD_BYTES).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     f.seek(0)
     at = head.find(_ENTRIES.encode())
-    # a "\r" would move the head that the text-mode read finds
-    if at > 0 and b"\r" not in head[:at]:
+    if at > 0:
         try:
             text = head[:at + len(_ENTRIES)].decode("utf-8")
         except UnicodeDecodeError:
             return
-        _writer_head(text, ends_with_tail, cap)
+        _writer_head(text, cap)
 
 
 def read_state(path: str | Path, cap: int | None = None) -> QuantumState:

@@ -572,13 +572,13 @@ def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
     return h[r, d]
 
 
-def _block_spectrum(h: np.ndarray, support: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Eigenvalues of a Hermitian matrix, ascending, found block by block.
 
     ``_block_spectra`` of h through the identity map, which reads h itself:
     also returns the number of blocks and the largest block size.
     """
-    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp), support)[0]
+    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
 
 
 def _block_spectra(

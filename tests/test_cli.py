@@ -275,6 +275,16 @@ def test_compose_uncertified_input_and_force(pair_file, tmp_path):
     assert out.exists()
 
 
+def test_compose_over_cap_is_refused_before_an_uncertified_input(pair_file, tmp_path, capsys):
+    junk = q.QuantumState.basis_state(q.standard_layout(2, 1), (0,) * 4)
+    path = tmp_path / "junk.json"
+    q.write_state(junk, path)
+    out = tmp_path / "merged.json"
+    assert main(["compose", str(path), pair_file, "--cap", "15", "--out", str(out)]) == 64
+    assert "state dimension 16 exceeds cap 15" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- ppt -----------------------------------------------------------------
 
 

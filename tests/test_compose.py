@@ -215,3 +215,15 @@ def test_compose_past_26_registers_matches_the_kron_gather(d):
         want, want_record = pipeline_compose(a, b)
         assert record == want_record
         assert np.array_equal(merged._data, want._data)
+
+
+def test_compose_cap_is_refused_before_the_inputs_are_certified(monkeypatch):
+    junk = q.QuantumState.basis_state(q.standard_layout(2, 1), (0,) * 4)
+    assert not q.is_qcr(junk).verdict
+
+    def no_certification(*args, **kwargs):
+        raise AssertionError("an input was certified before the cap was checked")
+
+    monkeypatch.setattr("qcrkit.protocols.is_qcr", no_certification)
+    with pytest.raises(ValueError, match="^state dimension 16 exceeds cap 15$"):
+        q.compose(junk, q.maximally_entangled(2), check=True, cap=15)

@@ -710,8 +710,8 @@ def state_or_message(read, source, cap):
 
 
 def test_file_reads_keep_the_text_reads_refusals(max_ent, tmp_path):
-    # read_state refuses a file for its head before reading the body only where
-    # text_to_state would refuse the whole text for it: a broken tail is a JSON error
+    # read_state refuses a file for its head before reading the body exactly where
+    # text_to_state refuses the whole text for it: the writer's head, whatever the tail
     text = q.state_to_text(max_ent.to_density())
     path = tmp_path / "pair.json"
     copies = [text, text[:-3], text + "x", text.replace(',\n "entries"', '\n "entries"'),
@@ -789,3 +789,54 @@ def test_file_reads_take_newlines_as_a_text_mode_read_does(max_ent, golden, tmp_
     path.write_bytes(q.state_to_text(golden["composite-1024"]).replace("\n", "\r\n").encode())
     with pytest.raises(StateFileError, match="^state dimension 1024 exceeds cap 512$"):
         q.read_state(path, cap=512)
+
+
+def damaged_copies(text):
+    """text cut in half, with "x" appended, and with "\\r\\n" and "\\r" line ends."""
+    return {"cut": text[:len(text) // 2], "appended": text + "x",
+            "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r")}
+
+
+@pytest.mark.parametrize("damage", ["cut", "appended", "crlf", "cr"])
+def test_damaged_or_relined_over_cap_files_are_refused_from_their_head(golden, loads_sizes, tmp_path, damage):
+    # the writer's head decides before the body, whatever the tail or line ends
+    text = q.state_to_text(golden["composite-1024"])
+    head = text.index('"entries"')
+    path = tmp_path / "composite.json"
+    path.write_bytes(damaged_copies(text)[damage].encode())
+    message = "^state dimension 1024 exceeds cap 512$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError, match=message):
+            q.read_state(path, cap=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    loads_sizes.clear()
+    with pytest.raises(StateFileError, match=message):
+        q.text_to_state(path.read_text(encoding="utf-8"), cap=512)
+    assert loads_sizes and max(loads_sizes) <= head
+
+
+def test_a_body_byte_that_is_not_utf8_keeps_a_cut_files_head_refusal(golden, tmp_path):
+    data = damaged_copies(q.state_to_text(golden["composite-1024"]))["cut"].encode()
+    at = data.index(b"[0.0, 0.0]", len(data) // 2)
+    path = tmp_path / "composite.json"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(StateFileError, match="^state dimension 1024 exceeds cap 512$"):
+        q.read_state(path, cap=512)
+    with pytest.raises(StateFileError, match=f"in position {at}: invalid start byte$"):
+        q.read_state(path)
+
+
+def test_a_truncated_file_is_refused_for_its_heads_format(max_ent, tmp_path):
+    text = q.state_to_text(max_ent.to_density()).replace('"qcr-state/1"', '"qcr-state/2"')
+    cut = text[:text.index('"entries"') + 40]
+    path = tmp_path / "pair.json"
+    path.write_text(cut)
+    message = "^unsupported format 'qcr-state/2'; expected 'qcr-state/1'$"
+    with pytest.raises(StateFileError, match=message):
+        q.text_to_state(cut)
+    with pytest.raises(StateFileError, match=message):
+        q.read_state(path)
