@@ -21,10 +21,12 @@ import numpy as np
 
 from . import defaults
 from .registers import (
-    DEALER, SystemLayout, _digit_sum_mask, is_integer_in, labeled_layout, standard_layout,
-    standard_parties,
+    DEALER, SystemLayout, _digit_sum_mask, _require_integer, is_integer_in, labeled_layout,
+    standard_layout, standard_parties,
 )
-from .states import QuantumState, _check_cap, _check_unitary, _relabel, _wrap, apply_controlled
+from .states import (
+    QuantumState, _check_cap, _check_unitary, _digits, _flat, _relabel, _wrap, apply_controlled,
+)
 from .verify import is_qcr
 
 
@@ -206,32 +208,31 @@ def _fill_support(
 
     copies=1 gives a vector with weight 1/sqrt|S0|, copies=2 a density
     matrix with the exact weight 1/|S0|; zero off the digit-sum-0 support.
-    The block depends only on the dealer digit of each string, so all
-    strings sharing those digits are written in one assignment.
+    The block depends only on the dealer digit of each string, so all strings
+    sharing it are written in one assignment, at the rows ``_flat`` gives.
     """
     d = layout.qudit_dim
-    n_info = len(layout.info_labels)
-    members = np.argwhere(_digit_sum_mask(n_info, 0, d))
+    dims = layout.dims
+    info = layout.positions(layout.info_labels)
+    shield = layout.positions(layout.shield_labels)
+    members = np.argwhere(_digit_sum_mask(len(info), 0, d))
     weight = 1.0 / np.sqrt(len(members)) if copies == 1 else 1.0 / len(members)
-    by_dealer = [members[members[:, 0] == i] for i in range(d)]
+    shield_dims = [dims[p] for p in shield]
+    digits = dict(zip(shield, _digits(np.arange(np.prod(shield_dims, dtype=int)), shield_dims)))
+    rows = []  # rows[i][k, s]: S0 string k with dealer digit i, shield string s
+    for i in range(d):
+        strings = members[members[:, 0] == i]
+        digits.update((p, strings[:, k, None]) for k, p in enumerate(info))
+        rows.append(_flat([digits[p] for p in range(len(dims))], dims))
     data = np.zeros((layout.total_dim,) * copies, dtype=np.complex128)
-    # standard_layout alternates info and shield registers, so in this view
-    # every copy's info digits sit on the even axes and its shields on the odd
-    view = data.reshape(layout.dims * copies)
-    idx: list = [slice(None)] * view.ndim
-    for digits in itertools.product(range(d), repeat=copies):
-        for c, i in enumerate(digits):
-            # copy c's strings run along broadcast axis c of the index arrays
-            shape = [1] * copies
-            shape[c] = -1
-            strings = by_dealer[i]
-            idx[2 * n_info * c:2 * n_info * (c + 1):2] = [
-                strings[:, k].reshape(shape) for k in range(n_info)
-            ]
-        view[tuple(idx)] = weight * block(*digits).reshape(view.shape[1::2])
-    # the support lies on the S0 strings, with every shield digit
-    on = _digit_sum_mask(n_info, 0, d).reshape(tuple(x for _ in range(n_info) for x in (d, 1)))
-    return _wrap(layout, data, np.flatnonzero(np.broadcast_to(on, layout.dims)))
+    if copies == 1:
+        for i in range(d):
+            data[rows[i]] = weight * block(i)
+    else:
+        for i, j in itertools.product(range(d), repeat=2):
+            # block(i, j)[s, t] at every row pair (rows[i][k, s], rows[j][l, t])
+            data[rows[i][:, :, None, None], rows[j]] = weight * block(i, j)[:, None]
+    return _wrap(layout, data, np.sort(np.concatenate(rows, axis=None)))
 
 
 def build_twisted_qcr(
@@ -357,9 +358,9 @@ def random_private_state(
     pure_seed: bool = False,
 ) -> QuantumState:
     """Seeded random (sigma, twist) instance of the private-state family."""
+    _require_integer(d, "qudit dimension")
     sigma = ShieldSeed.random(shield_dims, rng, pure=pure_seed)
-    total = sigma.total_dim
-    twist = TwistingFamily({(i,): haar_unitary(total, rng) for i in range(d)})
+    twist = TwistingFamily({(i,): haar_unitary(sigma.total_dim, rng) for i in range(d)})
     return build_private_state(d, sigma, twist)
 
 

@@ -326,7 +326,7 @@ def standard_layout(
     player; trivial shields are kept as dimension-1 registers so the layout
     shape never depends on whether a shield is in use.
     """
-    if d < 2:
+    if is_integer_in(d, hi=2):  # a non-integer d fails its registers' dimension check
         raise ValueError("qudit dimension must be >= 2")
     if not is_integer_in(n_players, 1):
         raise ValueError(f"player count {n_players!r} is not an integer >= 1")

@@ -230,10 +230,8 @@ def _writer_head(text: str, cap: int | None) -> tuple[int, SystemLayout, str, in
     if at <= 0 or text[at - 1] != ",":
         return None
     try:
-        doc = json.loads(text[:at - 1] + "}")
+        doc = json.loads(text[:at - 1] + "}")  # ending in "}", it parses only as an object
     except json.JSONDecodeError:
-        return None
-    if not isinstance(doc, dict):
         return None
     return at + len(_ENTRIES), *_check_head(doc, cap)
 

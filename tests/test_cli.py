@@ -67,6 +67,29 @@ def test_construct_twisted_is_seeded(tmp_path):
     assert q.is_qcr(a).verdict
 
 
+def test_construct_random_ghz_with_mixed_shields_matches_library(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    argv = ["construct", "ghz", "--d", "2", "--n", "2", "--shield-dims", "2,1,1", "--random",
+            "--out", str(out)]
+    assert main(argv) == 64
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--seed", "3"]) == 0
+    want = q.build_ghz_qcr(2, 2, q.ShieldSeed.random((2, 1, 1), np.random.default_rng(3)))
+    back = q.read_state(out)
+    assert not back.is_pure
+    assert back.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_construct_twisted_that_fails_its_tolerance_exits_one_and_writes(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    argv = ["construct", "twisted", "--d", "2", "--n", "2", "--seed", "1", "--tol", "1e-300",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+    assert q.read_state(out).dim == 64
+
+
 def test_construct_random_needs_seed(tmp_path, capsys):
     out = tmp_path / "r.json"
     argv = ["construct", "private", "--d", "2", "--random", "--out", str(out)]

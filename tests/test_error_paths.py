@@ -98,6 +98,20 @@ def test_all_cuts_of_a_one_register_file_is_a_usage_error(tmp_path, capsys):
         "error: need at least two non-environment registers to cut\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ppt", "{ex}", "--side-two", "A1.info"], "error: --side-two needs --cuts explicit\n"),
+    (["construct", "example", "--out", "{tmp}/no/x.json"], "error: cannot write output: "),
+    (["verify", "{ex}", "--report", "{tmp}/no/r.json"], "error: cannot write output: "),
+], ids=["side-two-without-explicit", "unwritable-out", "unwritable-report"])
+def test_a_refused_flag_or_output_path_is_a_usage_error(
+        tmp_path, capsys, example_state, argv, message):
+    # test_cli's test_exit_codes runs these in a child process; here main's handlers run in this one
+    ex = tmp_path / "ex.json"
+    q.write_state(example_state, ex)
+    assert cli.main([a.format(ex=ex, tmp=tmp_path) for a in argv]) == 64
+    assert capsys.readouterr().err.startswith(message)
+
+
 # -- the library --------------------------------------------------------------
 
 
@@ -142,9 +156,21 @@ def test_builder_refusals():
 def test_gates_refuse_a_dimension_or_shift_that_is_not_an_integer(bad):
     for make, what in [(lambda: q.shift_matrix(bad, 1), "qudit dimension"),
                        (lambda: q.cx_matrix(bad), "qudit dimension"),
-                       (lambda: q.shift_matrix(2, bad), "shift")]:
+                       (lambda: q.shift_matrix(2, bad), "shift"),
+                       (lambda: q.random_private_state(bad, (1, 1), np.random.default_rng(0)),
+                        "qudit dimension")]:
         with pytest.raises(ValueError, match=f"^{what} must be an integer, got "
                                              f"{re.escape(repr(bad))}$"):
+            make()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2", None], ids=repr)
+def test_builders_refuse_a_dimension_that_is_not_an_integer(bad):
+    # the dealer's info register refuses it by name; `bad < 2` once raised a bare TypeError
+    for make in (lambda: q.standard_layout(bad, 1), lambda: q.maximally_entangled(bad),
+                 lambda: q.build_private_state(bad), lambda: q.build_ghz_qcr(bad, 2)):
+        with pytest.raises(ValueError, match=f"^register 'D.info' has dimension "
+                                             f"{re.escape(repr(bad))}; need an integer >= 1$"):
             make()
 
 
@@ -176,5 +202,7 @@ def test_crypto_form_refusals():
         layout_of(("D.info", "D", "info", 2), ("A1.shield", "A1", "shield", 2)).info_label("A1")
     with pytest.raises(ValueError, match="^layout has no player parties$"):
         layout_of(("D.info", "D", "info", 2)).require_crypto_form()
+    with pytest.raises(ValueError, match="^layout has no dealer party 'D'$"):
+        layout_of(("A1.info", "A1", "info", 2)).require_crypto_form()
     with pytest.raises(ValueError, match="^qudit dimension must be >= 2, got 1$"):
         layout_of(("D.info", "D", "info", 1), ("A1.info", "A1", "info", 1)).require_crypto_form()
