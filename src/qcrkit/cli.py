@@ -304,11 +304,15 @@ def cmd_compose(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _all_cuts(state: QuantumState) -> list[CutSpec]:
-    labels = state.layout.non_env_labels
+    # a dimension-1 register transposes nothing, so it stays on side one,
+    # as the first register of dimension above 1 does
+    layout = state.layout
+    labels = [l for l in layout.non_env_labels if layout.subsystem(l).dim > 1]
     if len(labels) < 2:
-        raise CliError(EXIT_USAGE, "need at least two non-environment registers to cut")
+        raise CliError(EXIT_USAGE, "need at least two non-environment registers "
+                       "of dimension above 1 to cut")
     return [
-        CutSpec.from_side_two(state.layout, two)
+        CutSpec.from_side_two(layout, two)
         for r in range(1, len(labels))
         for two in itertools.combinations(labels[1:], r)
     ]
@@ -422,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppt", parents=[common],
                        help="partial-transpose positivity across cuts")
     p.add_argument("state")
-    p.add_argument("--cuts", choices=["dealer", "all", "explicit"], default="dealer")
+    p.add_argument("--cuts", choices=["dealer", "all", "explicit"], default="dealer",
+                   help="dealer: the dealer cuts; all: every split of the registers "
+                   "of dimension above 1; explicit: the one cut --side-two names")
     p.add_argument("--side-two", type=_label_list, default=None, metavar="LABELS",
                    help="registers on the transposed side (with --cuts explicit)")
     p.set_defaults(func=cmd_ppt, default_tol=defaults.PPT_TOL)

@@ -448,18 +448,10 @@ def _block_trace(diag: np.ndarray, pick: tuple) -> float:
     return float(np.real(diag[pick + (...,)].reshape(-1).sum()))
 
 
-def _branch(grouped: np.ndarray, k: int) -> tuple[tuple, float, float]:
-    """Outcome k of a grouped array: its index, probability and normalizer.
-
-    Outcome k is row k of a ``(g, r)`` vector, normalized by sqrt(p), or the
-    diagonal block k of a ``(g, r, g, r)`` matrix, normalized by p.
-    """
-    if grouped.ndim == 2:
-        row = grouped[k]
-        p = float(np.real(np.vdot(row, row)))
-        return (k,), p, np.sqrt(p)
-    p = float(np.real(np.trace(grouped[k, :, k, :])))
-    return (k, slice(None), k), p, p
+def _branch(row: np.ndarray) -> tuple[float, float]:
+    """One row of a grouped vector: its probability p and normalizer sqrt(p)."""
+    p = float(np.real(np.vdot(row, row)))
+    return p, np.sqrt(p)
 
 
 def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
@@ -498,10 +490,10 @@ def _project_trace(
     k = _digit_index(layout, on, digits)
     if state.is_pure:
         w, _ = _grouped(layout, state.vector, on)
-        sel, p, norm = _branch(w, k)
+        p, norm = _branch(w[k])
         if p <= 0.0:
             return max(p, 0.0), None
-        return p, partial_trace(_wrap(layout.without(on), w[sel] / norm), over)
+        return p, partial_trace(_wrap(layout.without(on), w[k] / norm), over)
     new_layout = layout.without(on + over)
     runs = _runs(layout, on, over)
     shape = tuple(n for _, n, _ in runs)
@@ -805,11 +797,11 @@ def measure_computational(
         return outcomes
     w, ungroup = _grouped(layout, state.vector, on)
     for k, digits in enumerate(digit_strings):
-        sel, p, norm = _branch(w, k)
+        p, norm = _branch(w[k])
         if p <= prob_floor:
             continue
         full = np.zeros_like(w)
-        full[sel] = w[sel] / norm
+        full[k] = w[k] / norm
         outcomes.append(MeasurementOutcome(digits, p, _wrap(layout, ungroup(full))))
     return outcomes
 
@@ -1024,6 +1016,6 @@ def _apply_blocks(
         m = m.reshape(c_dim, t_dim, -1)
         for k, b in checked.items():
             m[k] = (b != 0) @ m[k]
-        _, block = _strips(state.matrix, state._support)  # rho is 0 off it, so any NaN is in it
-        support = _product_rows(np.flatnonzero(back(m)), block(slice(None), slice(None)))
+        # rho is 0 off its support, so any NaN or inf is in the support block
+        support = _product_rows(np.flatnonzero(back(m)), state.matrix)
     return _wrap(layout, ungroup(out), support)

@@ -207,7 +207,7 @@ def check_condition_ii(
     pure = state if state.is_pure else purify(state)
     dbar = layout.info_label(DEALER)
     rows, _ = _grouped(pure.layout, pure.vector, [dbar])
-    split = [_branch(rows, i)[1:] for i in range(len(rows))]  # (p, sqrt(p)) per dealer digit
+    split = [_branch(row) for row in rows]  # (p, sqrt(p)) per dealer digit
     branches = [(i, norm) for i, (p, norm) in enumerate(split) if p > defaults.PROB_FLOOR]
     reports = []
     for spec in specs:

@@ -328,7 +328,7 @@ def test_ppt_entangled_state_exit_two(pair_file, capsys):
 def test_ppt_all_cuts(pair_file, capsys):
     assert main(["ppt", pair_file, "--cuts", "all"]) == 2
     out = capsys.readouterr().out
-    assert out.count("cut [") == 7
+    assert out.count("cut [") == 1
 
 
 def test_ppt_explicit_cut(pair_file):
@@ -340,8 +340,9 @@ def test_ppt_explicit_cut(pair_file):
 
 
 def test_ppt_all_cuts_of_a_2916_dim_composite(tmp_path, capsys):
-    # 10 registers, 511 cuts: one walk over the density serves them all,
-    # where copying each cut's partial transpose took about 90 s
+    # 8 of its 10 registers have dimension above 1, so 127 cuts: one walk
+    # over the density serves them all, where copying each cut's partial
+    # transpose took about 90 s
     private = q.build_private_state(3, q.ShieldSeed.basis_zero((2, 3)))
     ghz = q.build_ghz_qcr(3, 2, q.ShieldSeed.basis_zero((1, 2, 1)))
     state, _ = q.compose(private, ghz, check=False)
@@ -351,7 +352,17 @@ def test_ppt_all_cuts_of_a_2916_dim_composite(tmp_path, capsys):
     assert main(["ppt", str(path), "--cuts", "all"]) == 2
     assert time.perf_counter() - start < 20.0
     out = capsys.readouterr().out
-    assert "(dim 2916," in out and out.count("  cut [") == 511
+    assert "(dim 2916," in out and out.count("  cut [") == 127
+
+
+def test_ppt_all_cuts_split_only_the_registers_above_dimension_1(tmp_path, capsys):
+    # GHZ(2, 11) has 12 qubit registers and 12 trivial shields: 2^11 - 1 cuts
+    path = tmp_path / "ghz.json"
+    q.write_state(q.build_ghz_qcr(2, 11), path)
+    start = time.perf_counter()
+    assert main(["ppt", str(path), "--cuts", "all"]) == 2
+    assert time.perf_counter() - start < 20.0
+    assert capsys.readouterr().out.count("  cut [") == 2047
 
 
 # -- distance and measure -------------------------------------------------

@@ -25,10 +25,24 @@ def grouped_partial_trace(state, over):
     return np.trace(m, axis1=1, axis2=3)
 
 
+def grouped_branch(grouped, k):
+    """Outcome k of a grouped array: its index, probability and normalizer.
+
+    Outcome k is row k of a ``(g, r)`` vector, normalized by sqrt(p), or the
+    diagonal block k of a ``(g, r, g, r)`` matrix, normalized by p.
+    """
+    if grouped.ndim == 2:
+        row = grouped[k]
+        p = float(np.real(np.vdot(row, row)))
+        return (k,), p, np.sqrt(p)
+    p = float(np.real(np.trace(grouped[k, :, k, :])))
+    return (k, slice(None), k), p, p
+
+
 def grouped_project(state, on, digits):
     k = states._digit_index(state.layout, on, digits)
     w, _ = states._grouped(state.layout, state._data, on)
-    sel, prob, norm = states._branch(w, k)
+    sel, prob, norm = grouped_branch(w, k)
     return prob, (w[sel] / norm if prob > 0.0 else None)
 
 
@@ -37,7 +51,7 @@ def grouped_measure(state, on, prob_floor=q.defaults.PROB_FLOOR):
     dims = [state.layout.subsystem(l).dim for l in on]
     out = []
     for k, digits in enumerate(itertools.product(*map(range, dims))):
-        sel, p, norm = states._branch(w, k)
+        sel, p, norm = grouped_branch(w, k)
         if p <= prob_floor:
             continue
         full = np.zeros_like(w)
@@ -135,6 +149,27 @@ def test_past_26_registers_projection_and_trace_match_the_grouped_copy(pure):
         if branch.beta:
             want = q.apply_unitary(want, q.shift_matrix(2, branch.beta), ["D.info"])
         assert branch.state._data.tobytes() == want._data.tobytes()
+
+
+def test_dimension_one_registers_change_no_number():
+    # the same arrays on the 8 registers of dimension above 1 of the 40
+    rng = np.random.default_rng(1402)
+    many = [many_register_state(rng, pure) for pure in (True, False)]
+    big = labeled_layout([(s.party, s.kind, s.dim) for s in many[0].layout.subsystems if s.dim > 1])
+    assert len(big.labels) == 8 and big.total_dim == 384
+    few = [q.QuantumState(big, **{"vector" if s.is_pure else "matrix": s._data}) for s in many]
+
+    def numbers(pure, dens):
+        out = [q.trace_distance(pure, dens), q.purify(dens)._data.tobytes()]
+        for state in (pure, dens):
+            out.append([c.min_eigenvalue for c in q.all_dealer_cuts_ppt(state).cuts])
+            out.append(q.is_qcr(state, exhaustive=True).to_dict())
+            for dishonest in (["A1"], ["A2", "A3"]):
+                out.append([(o.digits, o.probability, o.state._data.tobytes())
+                            for o in q.reduce(state, dishonest, check=False)])
+        return out
+
+    assert numbers(*many) == numbers(*few)
 
 
 @pytest.mark.parametrize("pure", [False, True])

@@ -95,7 +95,7 @@ def test_all_cuts_of_a_one_register_file_is_a_usage_error(tmp_path, capsys):
     q.write_state(q.QuantumState(layout_of(("X", "P", "info", 2)), vector=[1.0, 0.0]), path)
     assert cli.main(["ppt", str(path), "--cuts", "all"]) == 64
     assert capsys.readouterr().err == (
-        "error: need at least two non-environment registers to cut\n")
+        "error: need at least two non-environment registers of dimension above 1 to cut\n")
 
 
 @pytest.mark.parametrize("argv, message", [

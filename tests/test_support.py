@@ -566,3 +566,27 @@ def test_no_relabel_or_shifted_reduce_branch_scans_a_whole_matrix(scans):
     assert all(0 < s._support.size < s.dim for s in outputs)
     for s in outputs:
         np.testing.assert_array_equal(s._support, states._support(s.matrix))
+
+
+def test_apply_reads_no_support_block_to_test_finiteness(monkeypatch):
+    # rho is 0 off its support, so the matrix's sum tests the block's
+    # finiteness: no gathered copy of a 1,000-row block is made for it
+    rng = np.random.default_rng(1609)
+    layout = q.standard_layout(2, 4, (2, 2, 2, 2, 2))
+    m = np.zeros((1024, 1024), dtype=complex)
+    s = np.sort(rng.choice(1024, size=1000, replace=False))
+    m[np.ix_(s, s)] = q.random_density(1000, rng, rank=4)
+    rho = q.QuantumState(layout, matrix=m)
+    assert rho._support.size == 1000
+
+    def refused(*args):
+        raise AssertionError("_strips called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(states, "_strips", refused)
+        outputs = [
+            q.apply_unitary(rho, q.haar_unitary(4, rng), ["A1.info", "D.shield"]),
+            q.apply_controlled(rho, ["D.info"], ["A2.info"], {(1,): q.shift_matrix(2, 1)}),
+        ]
+    for out in outputs:
+        np.testing.assert_array_equal(out._support, states._support(out.matrix))
