@@ -48,7 +48,6 @@ from .states import (
     _gram_difference_norm,
     _grouped,
     _mask,
-    _rows,
     _transpose_shift,
 )
 
@@ -243,7 +242,7 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     if a.is_pure and b.is_pure:
         return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
     # the union as a mask: np.union1d imports numpy.ma
-    union = np.flatnonzero(_mask(a.dim, _rows(a)) | _mask(a.dim, _rows(b)))
+    union = np.flatnonzero(_mask(a.dim, a._support) | _mask(a.dim, b._support))
     vals, blocks, largest = _block_spectrum(_difference(a, b, union))
     # the difference is zero off its block: one 1 x 1 block of 0 per row left out
     pad = a.dim - union.size

@@ -32,7 +32,7 @@ from .registers import (
     DEALER, ENV_PARTY, SystemLayout, _require_integer, digit_sum, labeled_layout, standard_parties,
 )
 from .states import (
-    QuantumState, _check_cap, _digits, _flat, _placed, _project_trace, _relabel, _rows,
+    QuantumState, _check_cap, _digits, _flat, _placed, _project_trace, _relabel,
     measurement_distribution,
 )
 from .verify import CoalitionSpec, VerificationReport, is_qcr
@@ -259,7 +259,7 @@ def compose(
     relabel_a = dict(zip(a.layout.labels, names[:n_a]))
     relabel_b = dict(zip(b.layout.labels, names[n_a:]))
     # each pair of support rows' digits in kron(a, b) order, then the addition
-    digits = _digits(_rows(a)[:, None], a.dims) + _digits(_rows(b), b.dims)
+    digits = _digits(a._support[:, None], a.dims) + _digits(b._support, b.dims)
     digits[target] = (digits[target] + digits[control]) % d
     idx = _flat([digits[i] for i, _, _ in merged], layout.dims)
 

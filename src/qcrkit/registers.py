@@ -33,9 +33,9 @@ KINDS = ("info", "shield", "env")
 
 
 def is_integer_in(x: object, lo: float = -inf, hi: float = inf) -> bool:
-    """True when x is an integer, numpy's included, with lo <= x < hi."""
+    """True when x is an integer, numpy's included and bool not, with lo <= x < hi."""
     # the int test first: isinstance against the Integral ABC is several times slower
-    return (type(x) is int or isinstance(x, Integral)) and lo <= x < hi
+    return (type(x) is int or (isinstance(x, Integral) and type(x) is not bool)) and lo <= x < hi
 
 
 def _require_integer(x: object, what: str) -> None:

@@ -26,22 +26,24 @@ over rho through an index map (``_transpose_shift``), so no transpose is
 copied. ``trace_norm`` and ``partial_transpose`` stay as the public forms
 and the tests' oracles.
 
-A density carries its support: the ascending rows or columns that hold an
-exactly nonzero entry; every entry off support x support is zero. The
-resource states are supported on digit-sum-zero info strings, so a
+A state is one read-only array, ``_data``, and its support, ``_support``:
+the ascending rows of a vector, or rows or columns of a density, that
+hold an exactly nonzero entry; every entry off support x support is zero.
+The resource states are supported on digit-sum-zero info strings, so a
 1024-dim composite holds its 1,024 nonzero entries in a 32 x 32 block.
-The support is fixed when the state is made, in the private field
-``_support``: the constructor scans the whole matrix (``_support``), and
-an operation's output (``_wrap``) at most the block on the rows that its
-producer knows can be nonzero, so the field is exact even where a product
-underflows to 0. With ``copy=False`` the constructor takes the caller's
-buffer over, read-only; writing to it through another reference leaves
-the field stale. Every reader takes the field: the Hermitian check,
-``purify``, the PPT walk and the density trace distance read only the
-support block, a strip at a time (``_strips``). A tensor product followed
-by a basis permutation (``tensor_product``, ``compose``, ``_relabel``) has
-one writer, ``_placed``, which writes only the products of the support
-blocks, at the rows that its caller maps them to (``_digits``, ``_flat``).
+The support is fixed when the state is made: a vector's is its nonzero
+rows; for a density the constructor scans the whole matrix
+(``_support``), and an operation's output (``_wrap``) at most the block
+on the rows that its producer knows can be nonzero, so the field is exact
+even where a product underflows to 0. With ``copy=False`` the constructor
+takes the caller's buffer over, vector or matrix, read-only; writing to it
+through another reference leaves the field stale. Every reader takes the
+field: the Hermitian check, ``purify``, the PPT walk and the density trace
+distance read only the support block, a strip at a time (``_strips``). A
+tensor product followed by a basis permutation (``tensor_product``,
+``compose``, ``_relabel``) has one writer, ``_placed``, which writes only
+the products of the support entries, at the rows that its caller maps
+them to (``_digits``, ``_flat``).
 """
 from __future__ import annotations
 
@@ -76,7 +78,6 @@ class QuantumState:
         # copy=False converts only what is not complex128 already (np.array's
         # copy=False would raise for it), and hands the buffer over
         as_complex = np.array if copy else np.asarray
-        support = None
         if vector is not None:
             arr = as_complex(vector, dtype=np.complex128)
             if arr.shape != (dim,):
@@ -85,6 +86,7 @@ class QuantumState:
                 norm2 = float(np.real(np.vdot(arr, arr)))
                 if not abs(norm2 - 1.0) <= defaults.STATE_TOL:
                     raise ValueError(f"vector norm^2 = {norm2!r}, expected 1 within tolerance")
+            support = np.flatnonzero(arr)
         else:
             arr = as_complex(matrix, dtype=np.complex128)
             if arr.shape != (dim, dim):
@@ -99,11 +101,10 @@ class QuantumState:
                     raise ValueError(f"matrix trace = {tr!r}, expected 1 within tolerance")
         self._hold(layout, arr, support)
 
-    def _hold(self, layout: SystemLayout, arr: np.ndarray, support: np.ndarray | None) -> None:
-        """Bind layout and arr, made read-only, with a density's support (None for a vector)."""
+    def _hold(self, layout: SystemLayout, arr: np.ndarray, support: np.ndarray) -> None:
+        """Bind layout and arr, made read-only, with arr's support."""
         self.layout = layout
-        self._vector: np.ndarray | None = arr if arr.ndim == 1 else None
-        self._matrix: np.ndarray | None = None if arr.ndim == 1 else arr
+        self._data = arr
         self._support = support
         arr.setflags(write=False)
 
@@ -112,19 +113,19 @@ class QuantumState:
     @property
     def is_pure(self) -> bool:
         """True when held as a vector (a density matrix may still be rank 1)."""
-        return self._vector is not None
+        return self._data.ndim == 1
 
     @property
     def vector(self) -> np.ndarray:
-        if self._vector is None:
+        if not self.is_pure:
             raise ValueError("state is held as a density matrix; no vector available")
-        return self._vector
+        return self._data
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
+        if self.is_pure:
             raise ValueError("state is held as a pure vector; use density_matrix() or to_density()")
-        return self._matrix
+        return self._data
 
     @property
     def dim(self) -> int:
@@ -134,41 +135,33 @@ class QuantumState:
     def dims(self) -> tuple[int, ...]:
         return self.layout.dims
 
-    @property
-    def _data(self) -> np.ndarray:
-        return self._vector if self._vector is not None else self._matrix
-
     def density_matrix(self) -> np.ndarray:
         """The density matrix, projecting a pure vector if needed."""
-        if self._matrix is not None:
-            return self._matrix
-        v = self._vector
-        return np.outer(v, v.conj())
+        v = self._data
+        return np.outer(v, v.conj()) if self.is_pure else v
 
     def to_density(self) -> QuantumState:
-        if self._matrix is not None:
+        if not self.is_pure:
             return self
-        rows = _product_rows(np.flatnonzero(self._vector), self._vector)
+        rows = _product_rows(self._support, self._data)
         state = _wrap(self.layout, self.density_matrix(), rows)
         logger.debug("to_density: dim %d, support %d", self.dim, state._support.size)
         return state
 
     def _entries(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The density's entries on rows r and columns c, without a vector's whole projector."""
-        if self._matrix is not None:
-            return self._matrix[np.ix_(r, c)]
-        return np.outer(self._vector[r], self._vector[c].conj())
+        x = self._data
+        return np.outer(x[r], x[c].conj()) if self.is_pure else x[np.ix_(r, c)]
 
     def purity(self) -> float:
-        if self._vector is not None:
+        if self.is_pure:
             return 1.0
-        m = self._matrix
+        m = self._data
         return float(np.real(np.einsum("ij,ji->", m, m)))
 
     def trace(self) -> float:
-        if self._vector is not None:
-            return float(np.real(np.vdot(self._vector, self._vector)))
-        return float(np.real(np.trace(self._matrix)))
+        x = self._data
+        return float(np.real(np.vdot(x, x) if self.is_pure else np.trace(x)))
 
     # -- layout manipulation -------------------------------------------
 
@@ -178,8 +171,7 @@ class QuantumState:
             raise ValueError("label_order must be a permutation of the layout labels")
         new_layout = SystemLayout(tuple(self.layout.subsystem(l) for l in label_order))
         grouped, _ = _grouped(self.layout, self._data, label_order)
-        rows = None if self.is_pure else np.flatnonzero(
-            _grouped(self.layout, _mask(self.dim, self._support), label_order)[0])
+        rows = np.flatnonzero(_grouped(self.layout, _mask(self.dim, self._support), label_order)[0])
         return _wrap(new_layout, grouped.reshape(self._data.shape), rows)
 
     def relabeled(self, mapping: dict[str, str]) -> QuantumState:
@@ -199,7 +191,7 @@ class QuantumState:
         """Computational basis ket |digits> in layout order."""
         v = np.zeros(layout.total_dim, dtype=np.complex128)
         v[_digit_index(layout, layout.labels, digits)] = 1.0
-        return cls(layout, vector=v, validate=False, copy=False)
+        return _wrap(layout, v)
 
     def __repr__(self) -> str:
         rep = "pure" if self.is_pure else "density"
@@ -219,7 +211,7 @@ def tensor_product(a: QuantumState, b: QuantumState, cap: int | None = None) -> 
         raise ValueError(f"register labels collide: {sorted(overlap)}")
     _check_cap(a.dim * b.dim, cap)
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
-    idx = np.ravel_multi_index((_rows(a)[:, None], _rows(b)), (a.dim, b.dim))  # kron's order
+    idx = np.ravel_multi_index((a._support[:, None], b._support), (a.dim, b.dim))  # kron's order
     return _placed(layout, idx.reshape(-1), a, b)
 
 
@@ -255,27 +247,22 @@ def _support(h: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     return found if n == h.shape[0] else rows[found]
 
 
-def _rows(state: QuantumState) -> np.ndarray:
-    """The rows of state's density that can hold a nonzero entry: its support, or a vector's."""
-    return np.flatnonzero(state.vector) if state.is_pure else state._support
-
-
 def _placed(layout: SystemLayout, idx: np.ndarray, a: QuantumState,
             b: QuantumState | None = None) -> QuantumState:
     """The products of a's and b's support entries on layout, placed by the row map idx.
 
-    Row i of a's and row k of b's nonzero rows (``_rows``) meet in output
-    row idx[i * nb + k]: a density gets a[i, j] * b[k, l] there and in
-    column idx[j * nb + l], a pure output (both inputs pure) a[i] * b[k].
-    Without b, a is relabeled (times a 1 x 1 factor of 1.0). Each product
-    is written once, +0.0 for -0.0 since qcr-state/1 writes the sign,
-    about 2^16 at a time; every other entry is zero.
+    Row i of a's and row k of b's support meet in output row
+    idx[i * nb + k]: a density gets a[i, j] * b[k, l] there and in column
+    idx[j * nb + l], a pure output (both inputs pure) a[i] * b[k]. Without
+    b, a is relabeled (times a 1 x 1 factor of 1.0). Each product is
+    written once, +0.0 for -0.0 since qcr-state/1 writes the sign, about
+    2^16 at a time; every other entry is zero.
     """
     pure = a.is_pure and (b is None or b.is_pure)
 
     def entries(s: QuantumState) -> np.ndarray:
-        r = _rows(s)
-        return s.vector[r] if pure else s._entries(r, r)
+        r = s._support
+        return s._data[r] if pure else s._entries(r, r)
 
     x = entries(a)
     y = np.ones((1,) * x.ndim) if b is None else entries(b)
@@ -295,7 +282,7 @@ def _placed(layout: SystemLayout, idx: np.ndarray, a: QuantumState,
 
 def _relabel(state: QuantumState, label: str, image: np.ndarray) -> QuantumState:
     """state with basis digit x of the named register renamed image[x], a permutation."""
-    digits = _digits(_rows(state), state.dims)
+    digits = _digits(state._support, state.dims)
     k = state.layout.position(label)
     digits[k] = image[digits[k]]
     return _placed(state.layout, _flat(digits, state.dims), state)
@@ -362,11 +349,11 @@ def _max_asymmetry(m: np.ndarray, support: np.ndarray | None = None) -> float:
 def _wrap(layout: SystemLayout, arr: np.ndarray, rows: np.ndarray | None = None) -> QuantumState:
     """An operation's output on layout, unchecked: arr as a vector when 1-D, else as a density.
 
-    A density's support is found from rows, which its producer knows to
-    hold it (``_support``).
+    A vector's support is its nonzero rows; a density's is found from rows,
+    which its producer knows to hold it (``_support``).
     """
     state = QuantumState.__new__(QuantumState)
-    state._hold(layout, arr, None if arr.ndim == 1 else _support(arr, rows))
+    state._hold(layout, arr, np.flatnonzero(arr) if arr.ndim == 1 else _support(arr, rows))
     return state
 
 

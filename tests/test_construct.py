@@ -342,7 +342,7 @@ def test_twisting_family_key_normalization():
     assert fam.keys() == {(0,), (1,)}
     with pytest.raises(ValueError, match="has negative digits"):
         q.TwistingFamily({(-1,): np.eye(2)})
-    for key in [(1.2,), (0, 0.5), ("1",), (-1.5,), 1.2, "1"]:
+    for key in [(1.2,), (0, 0.5), ("1",), (-1.5,), 1.2, "1", (True,)]:
         with pytest.raises(ValueError, match="has digits that are not integers"):
             q.TwistingFamily({key: np.eye(2)})
     assert q.TwistingFamily({(np.int64(1), 0): np.eye(2)}).keys() == {(1, 0)}

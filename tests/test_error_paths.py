@@ -152,7 +152,7 @@ def test_builder_refusals():
                 make()
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2"], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2", True], ids=repr)
 def test_gates_refuse_a_dimension_or_shift_that_is_not_an_integer(bad):
     for make, what in [(lambda: q.shift_matrix(bad, 1), "qudit dimension"),
                        (lambda: q.cx_matrix(bad), "qudit dimension"),
@@ -164,7 +164,7 @@ def test_gates_refuse_a_dimension_or_shift_that_is_not_an_integer(bad):
             make()
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2", None], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2", None, True], ids=repr)
 def test_builders_refuse_a_dimension_that_is_not_an_integer(bad):
     # the dealer's info register refuses it by name; `bad < 2` once raised a bare TypeError
     for make in (lambda: q.standard_layout(bad, 1), lambda: q.maximally_entangled(bad),
@@ -174,7 +174,7 @@ def test_builders_refuse_a_dimension_that_is_not_an_integer(bad):
             make()
 
 
-@pytest.mark.parametrize("rank", [0, -1, 1.0, 2.5, "2"], ids=repr)
+@pytest.mark.parametrize("rank", [0, -1, 1.0, 2.5, "2", True], ids=repr)
 def test_random_density_refuses_a_rank_that_is_not_an_integer_from_one(rank):
     # rank 0 once divided a zero matrix by its zero trace and returned NaN
     with pytest.raises(ValueError, match=f"^rank must be an integer >= 1, "

@@ -63,7 +63,7 @@ def fixtures(rng):
 
 def stride_merged_product(a, b, order, target, control):
     """The old merged product: kron(a, b) after the controlled addition, by strides."""
-    ra, rb = states._rows(a), states._rows(b)
+    ra, rb = a._support, b._support
     dims = a.dims + b.dims
     stride, left = {}, a.dim * b.dim
     for i in order:

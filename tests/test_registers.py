@@ -101,7 +101,7 @@ def test_index_set_validation():
         q.IndexSet(digits=3, modulus=2, target=0, members=((1, 0, 1), (1, 1, 0), (1, 0, 1)))
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2"], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2), "2", True], ids=repr)
 def test_index_parameters_must_be_integers(bad):
     # 2.5 as a modulus once gave index_set(3, 1, 2.5) four members and digit_sum a float
     for digits, target, modulus, what in [
@@ -128,6 +128,9 @@ def test_digit_sum():
         q.digit_sum((0, 1), 1)
     with pytest.raises(ValueError):
         q.digit_sum((0.5, 1.5), 2)
+    # bool is an Integral, but True is not the digit 1
+    with pytest.raises(ValueError, match=r"^digit True outside Z_2$"):
+        q.digit_sum([True], 2)
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (3, 4)])
@@ -253,7 +256,7 @@ def test_subsystem_validation():
 def test_is_integer_in():
     assert is_integer_in(3) and is_integer_in(np.int64(-4)) and is_integer_in(2**70)
     assert is_integer_in(0, 0, 1) and not is_integer_in(1, 0, 1) and not is_integer_in(-1, 0)
-    for x in (1.0, 2.5, np.float64(1), "1", None, (1,)):
+    for x in (1.0, 2.5, np.float64(1), "1", None, (1,), True, False, np.bool_(True)):
         assert not is_integer_in(x)
 
 
@@ -266,13 +269,16 @@ def test_is_integer_in():
     lambda: q.standard_layout(2, 1, (1, 2.0)),
     lambda: q.standard_layout(2.0, 1),
     lambda: q.standard_layout(2.5, 1),
-], ids=["2.5", "2.0", "float64", "str", "shield-1.7", "shield-2.0", "d-2.0", "d-2.5"])
+    lambda: Subsystem("x", "D", "info", True),
+    lambda: q.standard_layout(True, 1),
+], ids=["2.5", "2.0", "float64", "str", "shield-1.7", "shield-2.0", "d-2.0", "d-2.5", "bool",
+        "d-True"])
 def test_non_integer_dimensions_are_rejected(build):
     with pytest.raises(ValueError, match="need an integer >= 1"):
         build()
 
 
-@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, "2"])
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, "2", True])
 def test_player_count_must_be_an_integer(n):
     with pytest.raises(ValueError, match="is not an integer >= 1"):
         q.standard_layout(2, n)
