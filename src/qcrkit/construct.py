@@ -359,6 +359,9 @@ def random_private_state(
 ) -> QuantumState:
     """Seeded random (sigma, twist) instance of the private-state family."""
     _require_integer(d, "qudit dimension")
+    # an over-cap state is refused before sigma and d unitaries are drawn
+    shield_dims = _shield_layout(shield_dims).dims
+    _check_cap(standard_layout(d, 1, shield_dims).total_dim, None)
     sigma = ShieldSeed.random(shield_dims, rng, pure=pure_seed)
     twist = TwistingFamily({(i,): haar_unitary(sigma.total_dim, rng) for i in range(d)})
     return build_private_state(d, sigma, twist)

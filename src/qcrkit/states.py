@@ -5,8 +5,8 @@ vector or a density matrix, chosen per state. Pure states stay vectors
 through every operation that allows it (tensor products, unitaries,
 measurement, reduced densities via M @ M^dag), which is what keeps the
 largest composed fixtures fast. A density is purified by a pivoted
-Cholesky factor, at a cost of dim^2 x rank, and is eigendecomposed only
-when that factor fails its residual check.
+Cholesky factor of its support block, at a cost of support^2 x rank, and
+is eigendecomposed only when that factor fails its residual check.
 
 Axis convention: arrays are flat, in layout order. A density is read
 through a view: ``_runs`` cuts the registers into runs of adjacent ones in
@@ -18,13 +18,8 @@ whole array, go through ``_grouped``, which moves the named registers to
 the front. Dimension-1 registers carry no axis either way, so the register
 count sets no ceiling.
 
-Spectra of sparse Hermitian matrices, such as partial transposes and
-differences of states with a cryptographic layout, come block by block
-(``_block_spectra``): the exactly nonzero entries split the matrix into
-connected components, found for every cut's partial transpose in one walk
-over rho through an index map (``_transpose_shift``), so no transpose is
-copied. ``trace_norm`` and ``partial_transpose`` stay as the public forms
-and the tests' oracles.
+``trace_norm`` and ``partial_transpose`` stay as the public forms and the
+tests' oracles.
 
 A state is one read-only array, ``_data``, and its support, ``_support``:
 the ascending rows of a vector, or rows or columns of a density, that
@@ -167,6 +162,7 @@ class QuantumState:
 
     def permuted(self, label_order: Sequence[str]) -> QuantumState:
         """Reorder registers; label_order must be a permutation of the layout."""
+        label_order = list(label_order)
         if sorted(label_order) != sorted(self.layout.labels):
             raise ValueError("label_order must be a permutation of the layout labels")
         new_layout = SystemLayout(tuple(self.layout.subsystem(l) for l in label_order))
@@ -514,7 +510,8 @@ def partial_transpose(state: QuantumState, over: Sequence[str]) -> np.ndarray:
     Refuses a pure-vector state: project with to_density() first, since the
     result of a partial transpose is not a state and cannot stay a vector.
     The result is a new dim x dim array, built through two copies; the PPT
-    checks read the transpose through ``_transpose_shift`` instead.
+    checks of ``entanglement`` read the transpose through its index maps
+    instead.
     """
     if state.is_pure:
         raise ValueError("partial_transpose needs a density matrix; call to_density() first")
@@ -528,175 +525,6 @@ def trace_norm(a: np.ndarray) -> float:
     if a.ndim != 2:
         raise ValueError(f"trace_norm expects a matrix, got shape {a.shape}")
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def _transpose_shift(layout: SystemLayout, over: Sequence[str]) -> np.ndarray:
-    """B[x], the part of flat index x that the named registers' digits make up.
-
-    Transposing those registers moves entry (p, q) of a matrix to
-    (p - B[p] + B[q], q - B[q] + B[p]), a swap that is its own inverse, so
-    the partial transpose of rho is read as rho[p + B[q] - B[p],
-    q - (B[q] - B[p])]. B[x] is x with the other registers' digits set to 0.
-    """
-    chosen = set(layout.positions(over))
-    digits = _digits(np.arange(layout.total_dim), layout.dims)
-    return _flat([x * (i in chosen) for i, x in enumerate(digits)], layout.dims)
-
-
-def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Entries (p, q) of the matrix read from h through shift; p and q broadcast."""
-    d = shift[q] - shift[p]
-    r = p + d
-    np.subtract(q, d, out=d)
-    return h[r, d]
-
-
-def _block_spectrum(h: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Eigenvalues of a Hermitian matrix, ascending, found block by block.
-
-    ``_block_spectra`` of h through the identity map, which reads h itself:
-    also returns the number of blocks and the largest block size.
-    """
-    return _block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
-
-
-def _block_spectra(
-    h: np.ndarray, shifts: np.ndarray, support: np.ndarray | None = None
-) -> list[tuple[np.ndarray, int, int]]:
-    """Spectra of the Hermitian matrices read from h through each map, block by block.
-
-    Row c of shifts is a map B (``_transpose_shift``): its matrix has entry
-    h[p + B[q] - B[p], q - (B[q] - B[p])] at (p, q), so B = 0 is h itself
-    and the map of some registers is h's partial transpose over them; only
-    its lower triangle is read. Its exactly nonzero entries (1e-300 counts,
-    -0.0 does not) link rows into components, found for every map in one
-    walk over h's support (``_components``). Blocks of equal size are solved
-    by one batched ``eigvalsh``, one of more than 2^15 entries alone
-    (``_read_dense``). Returns, per map, the ascending eigenvalues, the
-    number of blocks and the largest block size.
-    """
-    n = h.shape[0]
-    out = []
-    for shift, root in zip(shifts, _components(h, shifts, support)):
-        # sizes[r] is the size of the component rooted at r, 0 off the roots;
-        # bincount and cumsum, not np.unique, whose first call imports numpy.ma
-        sizes = np.bincount(root, minlength=n)
-        order = np.argsort(root, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        parts = []
-        for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:  # each block size in use
-            # rows of idx are the components of size k, each in ascending
-            # order, so every block's lower triangle is the matrix's
-            idx = order[starts[sizes == k][:, None] + np.arange(k)]
-            if k * k > 2**15:
-                parts += [np.linalg.eigvalsh(_read_dense(h, shift, rows)) for rows in idx]
-            else:
-                parts.append(np.linalg.eigvalsh(
-                    _read(h, shift, idx[:, :, None], idx[:, None, :])).reshape(-1))
-        out.append((np.sort(np.concatenate(parts)), int(np.count_nonzero(sizes)),
-                    int(sizes.max())))
-    return out
-
-
-def _read_dense(h: np.ndarray, shift: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """The matrix read from h through shift, on the ascending rows and columns (all when None).
-
-    All of it under shift 0 is h itself. Otherwise the block is gathered
-    into one new array in row strips of about 2^15 entries, so the index
-    arrays stay small.
-    """
-    if rows is None or rows.size == h.shape[0]:
-        if not shift.any():
-            return h
-        rows = np.arange(h.shape[0])
-    k = rows.size
-    out = np.empty((k, k), dtype=h.dtype)
-    step = max(1, 2**15 // k)
-    for s in range(0, k, step):
-        out[s:s + step] = _read(h, shift, rows[s:s + step, None], rows)
-    return out
-
-
-def _components(
-    h: np.ndarray, shifts: np.ndarray | None = None, support: np.ndarray | None = None
-) -> np.ndarray:
-    """Smallest index in each row's component, for the matrix read from h through each map.
-
-    The graph of a map's matrix (see ``_block_spectra``) has an edge p > q
-    wherever its entry (p, q) is exactly nonzero; entry (i, j) of h is entry
-    (i - B[i] + B[j], j - B[j] + B[i]) of B's matrix, so one walk over h's
-    support (every row when None), in batches (``_nonzero_batches``), finds
-    the edges of every map for a union-find (``_join``). A map leaves the
-    walk once its matrix is one component. The result has the shape of
-    shifts, which defaults to the identity map: h itself.
-    """
-    n = h.shape[0]
-    shifts = np.zeros(n, dtype=np.intp) if shifts is None else np.asarray(shifts)
-    maps = shifts.reshape(-1, n)
-    roots = np.tile(np.arange(n), (len(maps), 1))
-    live = list(range(len(maps)))
-    # under the identity map alone only h's own lower triangle has edges
-    for i, j in _nonzero_batches(h, not maps.any(), support):
-        if not live:
-            break
-        for c in list(live):
-            d = maps[c][j] - maps[c][i]
-            p = i + d
-            q = np.subtract(j, d, out=d)
-            lower = p > q
-            _join(roots[c], p[lower], q[lower])
-            if not roots[c].any():
-                live.remove(c)  # one component already
-    return roots.reshape(shifts.shape)
-
-
-def _nonzero_batches(h: np.ndarray, lower_only: bool, support: np.ndarray | None = None):
-    """Rows and columns of h's exactly nonzero entries, at most 2^14 at a time.
-
-    Only the block on h's support (every row when None) is scanned
-    (``_strips``), and mapped back to h's indices in order, so its lower
-    triangle is h's. Strips of about 2^14 entries, up to the diagonal block
-    when lower_only, are joined into batches: 2.3 MB in all for a dense
-    1024-dim matrix, with the union-find's arrays (tracemalloc).
-    """
-    n, part = _strips(h, support)
-    step = max(1, 2**14 // max(n, 1))
-    rows, cols, pending = [], [], 0
-    for s in range(0, n, step):
-        i, j = np.nonzero(part(slice(s, s + step), slice(0, s + step if lower_only else n)) != 0)
-        i += s
-        if n < h.shape[0]:
-            i, j = support[i], support[j]
-        if pending and pending + i.size > 2**14:
-            batch = np.concatenate(rows), np.concatenate(cols)
-            rows, cols, pending = [], [], 0
-            yield batch
-        rows.append(i)
-        cols.append(j)
-        pending += i.size
-    if pending:
-        yield np.concatenate(rows), np.concatenate(cols)
-
-
-def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Union-find, in place: join the components of every edge (u[k], v[k]).
-
-    Until the edges join no two components, the larger root of every edge
-    is hooked onto the smaller, then pointers jump until every row points
-    at its root: O(log dim) rounds per batch on a random path graph.
-    """
-    while True:
-        ru, rv = root[u], root[v]
-        apart = ru != rv
-        if not apart.any():
-            return
-        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root[:] = up
 
 
 def _gram_side(rows: int, cols: int) -> str:

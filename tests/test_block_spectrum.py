@@ -1,6 +1,6 @@
 """The block-by-block Hermitian spectrum against dense eigvalsh.
 
-``states._block_spectrum`` splits a Hermitian matrix into the connected
+``entanglement._block_spectra`` splits a Hermitian matrix into the connected
 components of its exactly nonzero lower-triangle entries and solves the
 blocks; ``ppt_check`` on a pure vector reads the minimum eigenvalue off the
 Schmidt coefficients. Every case here is held to dense ``np.linalg.eigvalsh``
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit import states
+from qcrkit import entanglement
 from qcrkit.registers import Subsystem, SystemLayout
 
 
@@ -24,13 +24,18 @@ def random_hermitian(n, rng):
     return m + m.conj().T
 
 
+def block_spectrum(h):
+    """Eigenvalues, block count and largest block of h, read through the identity map."""
+    return entanglement._block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
+
+
 def permuted(h, rng):
     p = rng.permutation(h.shape[0])
     return h[np.ix_(p, p)]
 
 
 def assert_matches_dense(h):
-    got, blocks, largest = states._block_spectrum(h)
+    got, blocks, largest = block_spectrum(h)
     want = np.linalg.eigvalsh(h)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -95,14 +100,14 @@ def test_permuted_path_graph_is_one_component(n):
     h[p[1:], p[:-1]] = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
     h[p[:-1], p[1:]] = h[p[1:], p[:-1]].conj()
     start = time.perf_counter()
-    root = states._components(h)
+    root = entanglement._components(h, np.zeros(n, dtype=np.intp))
     assert time.perf_counter() - start < 5.0
     assert not root.any()
     if n == 1024:
         assert assert_matches_dense(h) == (1, n)
     # cut the path in two: the halves are the components, rooted at their minima
     h[p[n // 2], p[n // 2 - 1]] = h[p[n // 2 - 1], p[n // 2]] = 0.0
-    root = states._components(h)
+    root = entanglement._components(h, np.zeros(n, dtype=np.intp))
     halves = (p[:n // 2], p[n // 2:])
     for half in halves:
         assert set(root[half].tolist()) == {int(half.min())}
@@ -195,7 +200,7 @@ def test_component_search_memory_on_a_dense_1024_matrix():
     h = random_hermitian(n, np.random.default_rng(79))
     tracemalloc.start()
     try:
-        _, blocks, _ = states._block_spectrum(h)
+        _, blocks, _ = block_spectrum(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

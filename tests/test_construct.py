@@ -165,6 +165,14 @@ def test_ghz_parameter_errors():
         q.build_ghz_qcr(2, 5, cap=32)
 
 
+def test_an_over_cap_private_state_is_refused_before_it_draws():
+    rng = np.random.default_rng(25)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^state dimension 4356 exceeds cap 4096$"):
+        q.random_private_state(2, (33, 33), rng)
+    assert rng.bit_generator.state == before
+
+
 # -- exact entries of every builder branch -----------------------------
 
 

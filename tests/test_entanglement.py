@@ -105,6 +105,15 @@ def test_all_dealer_cuts_counts_subsets():
     assert len(sides) == 7
 
 
+@pytest.mark.parametrize("density", [False, True])
+def test_ppt_report_takes_a_generator_of_cuts(example_state, density):
+    state = example_state.to_density() if density else example_state
+    cuts = [q.CutSpec.dealer_cut(state.layout, p) for p in (["A1"], ["A1", "A2"])]
+    want = q.ppt_report(state, cuts).to_dict()
+    assert q.ppt_report(state, (c for c in cuts)).to_dict() == want
+    assert want["all_ppt"] is False and len(want["cuts"]) == 2
+
+
 def test_ppt_report_serialization(max_ent):
     report = q.all_dealer_cuts_ppt(max_ent)
     doc = report.to_dict()

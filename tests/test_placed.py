@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit import states
+from qcrkit import entanglement, states
 from qcrkit.registers import DEALER, labeled_layout
 
 
@@ -160,7 +160,7 @@ def test_the_ppt_index_map_is_the_stride_map():
         subsets += [list(rng.choice(labels, size=k, replace=False))
                     for k in range(2, len(labels) + 1) for _ in range(3)]
         for over in subsets:
-            got = states._transpose_shift(layout, over)
+            got = entanglement._transpose_shift(layout, over)
             want = stride_transpose_shift(layout, over)
             assert got.dtype == want.dtype and np.array_equal(got, want), over
 

@@ -1,9 +1,9 @@
 """PPT spectra read from rho through each cut's index map, against the copied transpose.
 
-``states._block_spectra`` never forms a partial transpose: it walks rho's
+``entanglement._block_spectra`` never forms a partial transpose: it walks rho's
 nonzero entries once for all cuts and gathers each block from rho through
-the cut's map B (``states._transpose_shift``). The oracle is
-``_block_spectrum(partial_transpose(...))``, which copies the transpose and
+the cut's map B (``entanglement._transpose_shift``). The oracle is
+``block_spectrum(partial_transpose(...))``, which copies the transpose and
 searches it on its own. Spectra must be ``np.array_equal`` to the oracle's
 and block counts and largest block sizes equal, so every ``ppt_check``
 minimum eigenvalue is the oracle's own number. Two memory bounds close the
@@ -17,8 +17,13 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit import states
+from qcrkit import entanglement
 from qcrkit.registers import Subsystem, SystemLayout
+
+
+def block_spectrum(h):
+    """Eigenvalues, block count and largest block of h, read through the identity map."""
+    return entanglement._block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
 
 
 def dealer_cuts(layout):
@@ -41,14 +46,14 @@ def assert_reads_the_oracle(state, cuts, report=None):
     report, when given, is a ``ppt_report`` over these cuts and others,
     in the same order; by default it is made over these cuts alone.
     """
-    shifts = np.array([states._transpose_shift(state.layout, c.side_two) for c in cuts])
-    got = states._block_spectra(state.matrix, shifts)
+    shifts = np.array([entanglement._transpose_shift(state.layout, c.side_two) for c in cuts])
+    got = entanglement._block_spectra(state.matrix, shifts)
     assert len(got) == len(cuts)
     results = {(c.side_one, c.side_two): c
                for c in (report or q.ppt_report(state, cuts)).cuts}
     shapes = []
     for cut, (vals, blocks, largest) in zip(cuts, got):
-        want, want_blocks, want_largest = states._block_spectrum(
+        want, want_blocks, want_largest = block_spectrum(
             q.partial_transpose(state, cut.side_two))
         assert np.array_equal(vals, want), cut
         assert (blocks, largest) == (want_blocks, want_largest), cut
@@ -161,8 +166,8 @@ def test_identity_map_reads_the_matrix_itself():
     g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     h = g + g.conj().T
     shift = np.zeros(64, dtype=np.intp)
-    assert states._read_dense(h, shift) is h
-    (vals, blocks, largest), = states._block_spectra(h, shift[None])
+    assert entanglement._read_dense(h, shift, np.arange(64)) is h
+    (vals, blocks, largest), = entanglement._block_spectra(h, shift[None])
     assert np.array_equal(vals, np.linalg.eigvalsh(h)) and (blocks, largest) == (1, 64)
     a, b = (q.QuantumState(SystemLayout((Subsystem("D.a", "D", "shield", 64),)),
                            matrix=q.random_density(64, rng)) for _ in range(2))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit import cli, states
+from qcrkit import cli, entanglement, states
 
 
 def assert_exact_support(s, name=""):
@@ -151,13 +151,13 @@ def test_copy_false_takes_a_vector_buffer_over_read_only():
 def walks(monkeypatch):
     """The number of walks over a density's nonzero entries."""
     seen = []
-    walk = states._nonzero_batches
+    walk = entanglement._nonzero_batches
 
     def counting(*args, **kwargs):
         seen.append(args[0].shape[0])
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(states, "_nonzero_batches", counting)
+    monkeypatch.setattr(entanglement, "_nonzero_batches", counting)
     return seen
 
 

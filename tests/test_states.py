@@ -122,6 +122,17 @@ def test_permuted_round_trip():
         s.permuted(["D.info"])
 
 
+@pytest.mark.parametrize("density", [False, True])
+def test_permuted_takes_a_generator_of_labels(example_state, density):
+    state = example_state.to_density() if density else example_state
+    order = list(reversed(state.layout.labels))
+    want = state.permuted(order)
+    got = state.permuted(reversed(state.layout.labels))
+    assert got.layout == want.layout and got.dim == 64
+    assert np.array_equal(got._data, want._data)
+    assert np.array_equal(got._support, want._support)
+
+
 def test_permuted_matches_kron_swap():
     rng = np.random.default_rng(4)
     a = q.random_density(2, rng)

@@ -16,8 +16,13 @@ import numpy as np
 import pytest
 
 import qcrkit as q
-from qcrkit import defaults, states, verify
+from qcrkit import defaults, entanglement, states, verify
 from qcrkit.registers import ENV_PARTY, Subsystem, SystemLayout
+
+
+def block_spectrum(h):
+    """Eigenvalues, block count and largest block of h, read through the identity map."""
+    return entanglement._block_spectra(h, np.zeros((1, h.shape[0]), dtype=np.intp))[0]
 
 
 def dense_support(m):
@@ -275,7 +280,7 @@ def test_density_trace_distance_equals_the_dense_block_spectrum(name, caplog):
     assert a.dim == b.dim and not (a.is_pure and b.is_pure)
     caplog.set_level(logging.DEBUG, logger="qcrkit")
     got = q.trace_distance(a, b)
-    vals, blocks, largest = states._block_spectrum(a.density_matrix() - b.density_matrix())
+    vals, blocks, largest = block_spectrum(a.density_matrix() - b.density_matrix())
     assert got == float(np.abs(vals).sum())
     path = "dense" if blocks == 1 else "blocks"
     assert [r.getMessage() for r in caplog.records if r.name == "qcrkit"] == [
@@ -291,7 +296,7 @@ def test_nonzero_batches_cover_every_entry_once_in_full_indices():
     lower = set(zip(*np.nonzero(np.tril(h))))
     for lower_only in (False, True):
         got = []
-        batches = list(states._nonzero_batches(h, lower_only))
+        batches = list(entanglement._nonzero_batches(h, lower_only))
         assert len(batches) > 2
         for i, j in batches:
             assert i.size <= 2**14
@@ -311,10 +316,10 @@ def test_components_on_a_sparse_matrix_match_its_dense_support_walk():
     block = h[np.ix_(s, s)]
     # roots in the block, mapped back, against the roots over all of h;
     # rows off the support are their own roots
-    inner = states._components(block)
+    inner = entanglement._components(block, np.zeros(s.size, dtype=np.intp))
     want = np.arange(500)
     want[s] = s[inner]
-    np.testing.assert_array_equal(states._components(h), want)
+    np.testing.assert_array_equal(entanglement._components(h, np.zeros(500, dtype=np.intp)), want)
 
 
 def traced_peak(call):
@@ -343,7 +348,7 @@ def test_a_near_full_support_is_read_in_place():
         return [
             traced_peak(lambda: states._max_asymmetry(rho, states._support(rho))),
             traced_peak(lambda: q.purify(a)),
-            traced_peak(lambda: [None for _ in states._nonzero_batches(rho, False)]),
+            traced_peak(lambda: [None for _ in entanglement._nonzero_batches(rho, False)]),
         ]
 
     full = peaks(embedded(1024))
@@ -353,7 +358,7 @@ def test_a_near_full_support_is_read_in_place():
         assert 0 < states._support(a.matrix).size < 1024
         for got, want in zip(peaks(a), full):
             assert got <= want + slack, keep
-        whole = traced_peak(lambda: states._block_spectrum(a.matrix - b.matrix))
+        whole = traced_peak(lambda: block_spectrum(a.matrix - b.matrix))
         assert traced_peak(lambda: q.trace_distance(a, b)) <= whole + slack, keep
 
 
@@ -530,10 +535,10 @@ def test_a_large_component_beside_small_ones_is_gathered_a_strip_at_a_time():
 
     a, b = embedded(), embedded()
     diff = a.matrix - b.matrix
-    vals, blocks, largest = states._block_spectrum(diff)
+    vals, blocks, largest = block_spectrum(diff)
     assert 700 < largest < 840 and blocks == 1024 - largest + 1
     block = 16 * largest**2
-    assert traced_peak(lambda: states._block_spectrum(diff)) <= 1.2 * block
+    assert traced_peak(lambda: block_spectrum(diff)) <= 1.2 * block
     assert traced_peak(lambda: q.trace_distance(a, b)) <= 1.3 * block
     assert q.trace_distance(a, b) == float(np.abs(vals).sum())
     want = np.linalg.eigvalsh(diff[np.ix_(*(states._support(diff),) * 2)])
