@@ -213,6 +213,8 @@ def all_dealer_cuts_ppt(state: QuantumState, tol: float = defaults.PPT_TOL) -> P
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
     """Trace norm of the difference of two states; ranges over [0, 2].
 
+    The states' register dimensions must agree in order, dimension-1
+    registers aside: equal totals alone can index different registers.
     Two pure vectors are taken as (dim, 1) factors of their densities, so
     the norm comes from a QR of the (dim, 2) pair and a 2 x 2 eigenproblem;
     no dim x dim matrix is formed. The closed form 2 sqrt(1 - |<a|b>|^2) is
@@ -232,6 +234,9 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    dims_a, dims_b = ([n for n in s.layout.dims if n != 1] for s in (a, b))
+    if dims_a != dims_b:
+        raise ValueError(f"register dimensions differ: {dims_a} vs {dims_b}")
     if a.is_pure and b.is_pure:
         return _gram_difference_norm(a.vector[:, None], b.vector[:, None])
     # the union as a mask: np.union1d imports numpy.ma

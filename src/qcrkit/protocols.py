@@ -151,10 +151,9 @@ def reduce(
     """
     layout = state.layout
     d = layout.qudit_dim
-    p2 = (dishonest,) if isinstance(dishonest, str) else tuple(dishonest)
+    p2 = CoalitionSpec.for_layout(layout, dishonest).dishonest
     if not p2:
         raise ValueError("need at least one player to measure out")
-    CoalitionSpec.for_layout(layout, p2)
     if outcome is not None and rng is not None:
         raise ValueError("pass either a fixed outcome or an rng, not both")
     if check:

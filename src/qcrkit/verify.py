@@ -18,10 +18,11 @@ exhaustive mode.
 Condition (i) reads the support as one boolean mask, ``_digit_sum_mask``.
 
 Condition (ii) works from branch factors, never from adversary-sized
-densities. The global pure vector (the state, or its purification) is
-split by dealer digit once, for the branch probabilities p. Per coalition
-it is regrouped once as m = (dealer digit, adversary, hidden), and branch
-i's factor M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. The
+densities, made in one pass by ``_coalition_factors``. The global pure
+vector (the state, or its purification) is split by dealer digit once,
+for the branch probabilities p. Per coalition it is regrouped once as
+m = (dealer digit, adversary, hidden), and branch i's factor
+M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. The
 trace distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken
 on the smaller side: from the QR triangle of [Ma Mb] when the two factors
 have fewer columns than the adversary has dimensions, else from the
@@ -65,8 +66,9 @@ class CoalitionSpec:
             raise ValueError("at least one player must stay honest")
 
     @classmethod
-    def for_layout(cls, layout: SystemLayout, dishonest: Sequence[str]) -> CoalitionSpec:
-        dishonest = tuple(dishonest)
+    def for_layout(cls, layout: SystemLayout, dishonest: Sequence[str] | str) -> CoalitionSpec:
+        """Layout's players split with the named ones dishonest; a bare string is one player."""
+        dishonest = (dishonest,) if isinstance(dishonest, str) else tuple(dishonest)
         players = layout.players
         unknown = set(dishonest) - set(players)
         if unknown:
@@ -175,22 +177,36 @@ def check_condition_i(state: QuantumState, tol: float = defaults.VERIFY_TOL) -> 
     )
 
 
-def _default_coalitions(players: tuple[str, ...], exhaustive: bool) -> list[tuple[str, ...]]:
-    if exhaustive:
-        out = []
-        for size in range(len(players)):
-            out.extend(itertools.combinations(players, size))
-        return out
-    return [tuple(p for p in players if p != honest) for honest in players]
+def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
+    """Per coalition: spec, [(dealer digit, M)] per live branch, adversary dim, factor columns.
+
+    Lazy, so the coalitions' regroupings are never all held at once. Branches are
+    weighed on the dealer split's rows; ``np.vdot`` on a regrouping's can differ in the last bits.
+    """
+    pure = state if state.is_pure else purify(state)
+    dbar = pure.layout.info_label(DEALER)
+    rows, _ = _grouped(pure.layout, pure.vector, [dbar])
+    split = [_branch(row) for row in rows]  # (p, sqrt(p)) per dealer digit
+    branches = [(i, norm) for i, (p, norm) in enumerate(split) if p > defaults.PROB_FLOOR]
+    for spec in specs:
+        bad = set(spec.dishonest)
+        # the dishonest players and the environment; the dealer's lab and honest players stay hidden
+        adversary = [s.label for s in pure.layout.subsystems if s.kind == "env" or s.party in bad]
+        g, _ = _grouped(pure.layout, pure.vector, [dbar] + adversary)
+        m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
+        _, adv, cols = m.shape
+        yield spec, [(i, m[i] / norm) for i, norm in branches], adv, cols
 
 
 def check_condition_ii(
     state: QuantumState,
     tol: float = defaults.VERIFY_TOL,
     exhaustive: bool = False,
-    coalitions: Sequence[Sequence[str]] | None = None,
+    coalitions: Sequence[Sequence[str] | str] | None = None,
 ) -> tuple[CoalitionReport, ...]:
     """Adversary independence from the dealer's digit, coalition by coalition.
+
+    ``coalitions`` replaces the default list; a string in it names one player.
 
     Every coalition logs one DEBUG line on the ``qcrkit`` logger: adversary
     dimension, columns of each branch factor, the trace-norm path (``qr``
@@ -200,31 +216,20 @@ def check_condition_ii(
     layout.require_crypto_form()
     players = layout.players
     if coalitions is None:
-        chosen = _default_coalitions(players, exhaustive)
-    else:
-        chosen = [tuple(c) for c in coalitions]
-    specs = [CoalitionSpec.for_layout(layout, c) for c in chosen]
-    pure = state if state.is_pure else purify(state)
-    dbar = layout.info_label(DEALER)
-    rows, _ = _grouped(pure.layout, pure.vector, [dbar])
-    split = [_branch(row) for row in rows]  # (p, sqrt(p)) per dealer digit
-    branches = [(i, norm) for i, (p, norm) in enumerate(split) if p > defaults.PROB_FLOOR]
+        if exhaustive:
+            coalitions = [c for k in range(len(players)) for c in itertools.combinations(players, k)]
+        else:
+            coalitions = [tuple(p for p in players if p != honest) for honest in players]
+    elif exhaustive:
+        raise ValueError("pass either exhaustive=True or coalitions, not both")
+    specs = [CoalitionSpec.for_layout(layout, c) for c in coalitions]
     reports = []
-    for spec in specs:
-        bad = set(spec.dishonest)
-        # the dishonest players and the environment; the honest players and
-        # the dealer's lab stay hidden
-        adversary = [s.label for s in pure.layout.subsystems if s.kind == "env" or s.party in bad]
-        g, _ = _grouped(pure.layout, pure.vector, [dbar] + adversary)
-        m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
-        # (adversary, hidden) factors: each branch's adversary state is M M^dag
-        factors = [(i, m[i] / norm) for i, norm in branches]
+    for spec, factors, adv, cols in _coalition_factors(state, specs):
         distances = [
             (_gram_difference_norm(ma, mb), (i, j))
             for (i, ma), (j, mb) in itertools.combinations(factors, 2)
         ]
         dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
-        _, adv, cols = m.shape
         logger.debug(
             "condition ii: coalition %s, adversary dim %d, factor columns %d, "
             "path %s, max distance %.3e",
@@ -235,7 +240,7 @@ def check_condition_ii(
                 dishonest=spec.dishonest,
                 passed=dmax <= tol,
                 max_distance=dmax,
-                branches=len(branches),
+                branches=len(factors),
                 worst_pair=worst,
             )
         )

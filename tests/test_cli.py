@@ -377,6 +377,17 @@ def test_distance_command(pair_file, tmp_path, capsys):
     assert main(["distance", pair_file, str(tmp_path / "nope.json")]) == 65
 
 
+def test_distance_command_refuses_registers_of_other_dimensions(tmp_path, capsys):
+    paths = []
+    for dims in ((2, 4), (4, 2)):
+        layout = q.SystemLayout((q.Subsystem("D.a", "D", "shield", dims[0]),
+                                 q.Subsystem("A1.a", "A1", "shield", dims[1])))
+        paths.append(str(tmp_path / f"{dims[0]}x{dims[1]}.json"))
+        q.write_state(q.QuantumState.basis_state(layout, (0, 1)), paths[-1])
+    assert main(["distance", *paths]) == 64
+    assert "register dimensions differ" in capsys.readouterr().err
+
+
 def test_measure_command(example_file, capsys):
     assert main(["measure", example_file]) == 0
     out = capsys.readouterr().out

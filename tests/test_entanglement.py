@@ -161,6 +161,28 @@ def test_trace_distance_basics():
         q.trace_distance(zero, q.maximally_entangled(3))
 
 
+@pytest.mark.parametrize("density", [False, True])
+def test_trace_distance_refuses_registers_of_other_dimensions(density):
+    # equal totals, but digit 1 of the second register is one of four values in
+    # a and one of two in b: the flat indices mean different things
+    a, b = (q.QuantumState.basis_state(two_party_shield_layout(*dims), (0, 1))
+            for dims in ((2, 4), (4, 2)))
+    if density:
+        a = a.to_density()
+    with pytest.raises(ValueError, match=r"^register dimensions differ: \[2, 4\] vs \[4, 2\]$"):
+        q.trace_distance(a, b)
+
+
+def test_trace_distance_leaves_dimension_one_registers_out():
+    pair = q.maximally_entangled(2)
+    assert pair.layout.dims == (2, 1, 2, 1)
+    bare = q.QuantumState(two_party_shield_layout(2, 2), matrix=pair.density_matrix())
+    assert q.trace_distance(pair, bare) == 0.0
+    assert q.trace_distance(bare, pair) == 0.0
+    bell = q.QuantumState(two_party_shield_layout(2, 2), vector=np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert q.trace_distance(bell, pair) <= 1e-15
+
+
 def test_trace_distance_contracts_under_partial_trace():
     rng = np.random.default_rng(202)
     layout = two_party_shield_layout(2, 2)

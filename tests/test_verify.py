@@ -186,6 +186,18 @@ def test_coalition_spec_validation():
         q.CoalitionSpec.for_layout(layout, ["A1", "A1"])
 
 
+def test_a_bare_string_names_one_player(example_state):
+    layout = q.standard_layout(2, 2)
+    assert q.CoalitionSpec.for_layout(layout, "A1").dishonest == ("A1",)
+    assert (q.check_condition_ii(example_state, coalitions=["A1"])
+            == q.check_condition_ii(example_state, coalitions=[("A1",)]))
+
+
+def test_exhaustive_and_named_coalitions_are_refused_together(example_state):
+    with pytest.raises(ValueError, match="^pass either exhaustive=True or coalitions, not both$"):
+        q.check_condition_ii(example_state, exhaustive=True, coalitions=[("A1",)])
+
+
 def test_report_serialization(example_state):
     doc = q.is_qcr(example_state).to_dict()
     assert doc["verdict"] is True
@@ -278,3 +290,37 @@ def test_one_state_one_verdict_in_every_representation(exhaustive):
             for key in ("max_deviation", "off_support_mass"):
                 gap = abs(getattr(r.condition_i, key) - getattr(first.condition_i, key))
                 assert gap <= 1e-12, (name, key)
+
+
+@pytest.mark.parametrize("name", ["example", "private d=3", "mixed ghz(2,3)", "key state s=4"])
+def test_each_branch_factor_gives_the_adversary_state(name):
+    # M M^dag is what the dishonest players and the environment hold once
+    # the dealer has measured digit i, built here from the public API alone
+    from test_ppt_key_state import ppt_key_state
+    from qcrkit.verify import _coalition_factors
+
+    rng = np.random.default_rng(2601)
+    state = {
+        "example": q.build_example_state,
+        "private d=3": lambda: q.random_private_state(3, (3, 3), rng),
+        "mixed ghz(2,3)": lambda: q.build_ghz_qcr(2, 3, q.ShieldSeed.random((2,) * 4, rng)),
+        "key state s=4": lambda: ppt_key_state(4, 1.0),
+    }[name]()
+    reports = q.check_condition_ii(state, exhaustive=True)
+    specs = [q.CoalitionSpec.for_layout(state.layout, c.dishonest) for c in reports]
+    yielded = list(_coalition_factors(state, specs))
+    assert len(yielded) == len(reports) == 2 ** state.layout.n_players - 1
+    pure = q.purify(state)
+    dealer = pure.layout.info_label("D")
+    for (spec, factors, adv, cols), report in zip(yielded, reports):
+        assert spec.dishonest == report.dishonest
+        assert len(factors) == report.branches
+        adversary = {s.label for s in pure.layout.subsystems
+                     if s.kind == "env" or s.party in spec.dishonest}
+        for i, m in factors:
+            assert m.shape == (adv, cols)
+            _, post = q.project_registers(pure, [dealer], [i])
+            hidden = [l for l in post.layout.labels if l not in adversary]
+            want = q.partial_trace(post, hidden).density_matrix()
+            got = m @ m.conj().T
+            assert np.max(np.abs(got - want)) <= 1e-12, (spec.dishonest, i)
