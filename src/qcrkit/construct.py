@@ -25,7 +25,7 @@ from .registers import (
     standard_layout, standard_parties,
 )
 from .states import (
-    QuantumState, _check_cap, _check_unitary, _digits, _flat, _relabel, _wrap, apply_controlled,
+    QuantumState, _check_cap, _check_unitary, _grouped, _relabel, _wrap, apply_controlled,
 )
 from .verify import is_qcr
 
@@ -209,21 +209,15 @@ def _fill_support(
     copies=1 gives a vector with weight 1/sqrt|S0|, copies=2 a density
     matrix with the exact weight 1/|S0|; zero off the digit-sum-0 support.
     The block depends only on the dealer digit of each string, so all strings
-    sharing it are written in one assignment, at the rows ``_flat`` gives.
+    sharing it are written in one assignment, at their rows of the index
+    range regrouped with the info registers in front (``_grouped``).
     """
     d = layout.qudit_dim
-    dims = layout.dims
-    info = layout.positions(layout.info_labels)
-    shield = layout.positions(layout.shield_labels)
-    members = np.argwhere(_digit_sum_mask(len(info), 0, d))
-    weight = 1.0 / np.sqrt(len(members)) if copies == 1 else 1.0 / len(members)
-    shield_dims = [dims[p] for p in shield]
-    digits = dict(zip(shield, _digits(np.arange(np.prod(shield_dims, dtype=int)), shield_dims)))
-    rows = []  # rows[i][k, s]: S0 string k with dealer digit i, shield string s
-    for i in range(d):
-        strings = members[members[:, 0] == i]
-        digits.update((p, strings[:, k, None]) for k, p in enumerate(info))
-        rows.append(_flat([digits[p] for p in range(len(dims))], dims))
+    index, _ = _grouped(layout, np.arange(layout.total_dim, dtype=np.intp), layout.info_labels)
+    strings = np.flatnonzero(_digit_sum_mask(len(layout.info_labels), 0, d))  # dealer digit first
+    weight = 1.0 / np.sqrt(strings.size) if copies == 1 else 1.0 / strings.size
+    # rows[i][k, s]: S0 string k with dealer digit i, shield string s
+    rows = [index[strings[strings // (len(index) // d) == i]] for i in range(d)]
     data = np.zeros((layout.total_dim,) * copies, dtype=np.complex128)
     if copies == 1:
         for i in range(d):

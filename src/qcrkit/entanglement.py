@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, SystemLayout
-from .states import QuantumState, _digits, _flat, _gram_difference_norm, _grouped, _mask, _strips
+from .registers import DEALER, SystemLayout, _names
+from .states import QuantumState, _gram_difference_norm, _grouped, _mask, _strips
 
 logger = logging.getLogger("qcrkit")
 
@@ -71,16 +71,15 @@ class CutSpec:
             raise ValueError("invalid cut: " + "; ".join(parts))
 
     @classmethod
-    def from_side_two(cls, layout: SystemLayout, side_two: Sequence[str]) -> CutSpec:
-        """side_two as given against every other non-environment register, in layout order."""
-        two = set(side_two)
-        side_one = tuple(l for l in layout.non_env_labels if l not in two)
-        return cls(side_one=side_one, side_two=tuple(side_two))
+    def from_side_two(cls, layout: SystemLayout, side_two: Sequence[str] | str) -> CutSpec:
+        """side_two as given (a bare string is one label) against the rest, in layout order."""
+        side_two = _names(side_two)
+        return cls(tuple(l for l in layout.non_env_labels if l not in side_two), side_two)
 
     @classmethod
-    def dealer_cut(cls, layout: SystemLayout, players_two: Sequence[str]) -> CutSpec:
-        """Dealer plus remaining players on side one; the named players on side two."""
-        two_set = set(players_two)
+    def dealer_cut(cls, layout: SystemLayout, players_two: Sequence[str] | str) -> CutSpec:
+        """Dealer plus remaining players on side one; the named players (or one) on side two."""
+        two_set = set(_names(players_two))
         unknown = two_set - set(layout.players)
         if unknown:
             raise ValueError(f"unknown players: {sorted(unknown)}")
@@ -270,11 +269,11 @@ def _transpose_shift(layout: SystemLayout, over: Sequence[str]) -> np.ndarray:
     Transposing those registers moves entry (p, q) of a matrix to
     (p - B[p] + B[q], q - B[q] + B[p]), a swap that is its own inverse, so
     the partial transpose of rho is read as rho[p + B[q] - B[p],
-    q - (B[q] - B[p])]. B[x] is x with the other registers' digits set to 0.
+    q - (B[q] - B[p])]. B[x] is x with the other registers' digits at 0: column 0 of the
+    index range regrouped with the named ones in front (``_grouped``), repeated and mapped back.
     """
-    chosen = set(layout.positions(over))
-    digits = _digits(np.arange(layout.total_dim), layout.dims)
-    return _flat([x * (i in chosen) for i, x in enumerate(digits)], layout.dims)
+    index, ungroup = _grouped(layout, np.arange(layout.total_dim, dtype=np.intp), over)
+    return ungroup(index[:, :1].repeat(index.shape[1], axis=1))
 
 
 def _read(h: np.ndarray, shift: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:

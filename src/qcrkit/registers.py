@@ -11,7 +11,8 @@ register party.kind, or E for an environment, and ``_numbered`` numbers the
 second and later under one name (D.shield2, E2); players are A1..An
 (``standard_parties``). Cuts: ``SystemLayout.non_env_labels`` is what a cut
 covers, and ``entanglement.CutSpec.from_side_two`` takes side one as its
-complement. Digits and dimensions: ``is_integer_in`` is the one
+complement. Name lists: ``_names`` reads a bare string as one name (cuts,
+coalitions). Digits and dimensions: ``is_integer_in`` is the one
 integer-and-range test, and ``_require_integer`` refuses by name an argument
 that fails it. The support, the digit strings that sum to t mod d:
 ``_digit_sum_mask``, read by ``index_set``, the verifier and the builders.
@@ -42,6 +43,11 @@ def _require_integer(x: object, what: str) -> None:
     """Refuse a non-integer argument by name, before any range test compares it."""
     if not is_integer_in(x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def _names(x: Iterable[str] | str) -> tuple[str, ...]:
+    """x as a tuple of names; a bare string is one name, not its characters."""
+    return (x,) if isinstance(x, str) else tuple(x)
 
 
 @dataclass(frozen=True)

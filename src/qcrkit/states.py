@@ -8,15 +8,15 @@ largest composed fixtures fast. A density is purified by a pivoted
 Cholesky factor of its support block, at a cost of support^2 x rank, and
 is eigendecomposed only when that factor fails its residual check.
 
-Axis convention: arrays are flat, in layout order. A density is read
-through a view: ``_runs`` cuts the registers into runs of adjacent ones in
-one group (picked, traced or kept), and the density reshaped to one row
-and one column axis per run is indexed in place, so ``_project_trace``
-(``project_registers``, ``partial_trace``, and ``reduce``'s pair of them)
-copies no block of its input. Vectors, and operations that write the
-whole array, go through ``_grouped``, which moves the named registers to
-the front. Dimension-1 registers carry no axis either way, so the register
-count sets no ceiling.
+Arrays are flat, in layout order, and each dense job has one kernel.
+``_grouped`` does every regrouping and index table, moving the named
+registers of a vector, a matrix or the index range to the front. The
+``_runs`` views do density picks: a density reshaped to one row and one
+column axis per run of adjacent registers in one group (picked, traced or
+kept) is indexed in place. ``_digits`` and ``_flat`` do maps of support
+rows. ``_project_trace`` does every projection and partial trace, copying
+no block of a density. Dimension-1 registers carry no axis, so the
+register count sets no ceiling.
 
 ``trace_norm`` and ``partial_transpose`` stay as the public forms and the
 tests' oracles.
@@ -440,29 +440,23 @@ def _branch(row: np.ndarray) -> tuple[float, float]:
 def partial_trace(state: QuantumState, over: Sequence[str]) -> QuantumState:
     """Trace out the named registers; result is a density state on the rest.
 
-    Tracing only dimension-1 registers keeps a pure vector; another pure
-    input gives M M^dag, and a density is read through ``_project_trace``.
+    Tracing only dimension-1 registers keeps a pure vector. The trace is
+    ``_project_trace``'s, with nothing projected.
     """
     over = list(over)
     if not over:
         return state
-    layout = state.layout
-    pos = layout.positions(over)
-    new_layout = layout.without(over)
-    if state.is_pure and all(layout.dims[p] == 1 for p in pos):
-        # dropping dimension-1 registers leaves the flat vector unchanged
-        return _wrap(new_layout, state.vector)
-    if state.is_pure:
-        m, _ = _grouped(layout, state.vector, new_layout.labels)
-        return _wrap(new_layout, m @ m.conj().T, _product_rows(np.flatnonzero(m.any(axis=1)), m))
+    state.layout.positions(over)  # raises on an unknown or repeated label
     return _project_trace(state, [], (), over)[1]
 
 
 def _project_trace(
     state: QuantumState, on: list[str], digits: tuple, over: list[str]
 ) -> tuple[float, QuantumState | None]:
-    """``project_registers(state, on, digits)``, then ``partial_trace`` of its state over over.
+    """``project_registers(state, on, digits)``, then the partial trace of its state over over.
 
+    A vector's picked row (``_grouped``) is divided by sqrt(p); tracing registers of
+    dimension above 1 from it gives M M^dag, M regrouped with the kept registers in front.
     A density is read through one view of its runs (``_runs``): the traced
     diagonal blocks of the block at the picked digits are scaled by 1/p, as
     complex division by its trace p scales, and added into a zeroed output
@@ -471,13 +465,17 @@ def _project_trace(
     """
     layout = state.layout
     k = _digit_index(layout, on, digits)
+    new_layout = layout.without(on + over)
     if state.is_pure:
         w, _ = _grouped(layout, state.vector, on)
-        p, norm = _branch(w[k])
+        p, norm = _branch(w[k]) if on else (1.0, 1.0)
         if p <= 0.0:
             return max(p, 0.0), None
-        return p, partial_trace(_wrap(layout.without(on), w[k] / norm), over)
-    new_layout = layout.without(on + over)
+        v = w[k] / norm if on else state.vector
+        if all(layout.subsystem(l).dim == 1 for l in over):
+            return p, _wrap(new_layout, v)  # the flat vector, less its dimension-1 registers
+        m, _ = _grouped(layout.without(on), v, new_layout.labels)
+        return p, _wrap(new_layout, m @ m.conj().T, _product_rows(np.flatnonzero(m.any(axis=1)), m))
     runs = _runs(layout, on, over)
     shape = tuple(n for _, n, _ in runs)
     if not on and all(g for g, _, _ in runs):
@@ -584,6 +582,8 @@ def measure_computational(
     collapsed onto the observed basis state. Probabilities sum to 1 up to the
     discarded floor mass.
     """
+    if not prob_floor >= 0.0:  # a negative or NaN floor would keep probability-0 branches
+        raise ValueError(f"prob_floor must be >= 0, got {prob_floor!r}")
     on = list(on)
     if not on:
         raise ValueError("need at least one register to measure")

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, SystemLayout, _digit_sum_mask
+from .registers import DEALER, SystemLayout, _digit_sum_mask, _names
 from .states import (
     QuantumState,
     _branch,
@@ -68,14 +68,13 @@ class CoalitionSpec:
     @classmethod
     def for_layout(cls, layout: SystemLayout, dishonest: Sequence[str] | str) -> CoalitionSpec:
         """Layout's players split with the named ones dishonest; a bare string is one player."""
-        dishonest = (dishonest,) if isinstance(dishonest, str) else tuple(dishonest)
-        players = layout.players
-        unknown = set(dishonest) - set(players)
+        dishonest = _names(dishonest)
+        unknown = set(dishonest) - set(layout.players)
         if unknown:
             raise ValueError(f"unknown players in coalition: {sorted(unknown)}")
         if len(set(dishonest)) != len(dishonest):
             raise ValueError("repeated player in coalition")
-        honest = tuple(p for p in players if p not in set(dishonest))
+        honest = tuple(p for p in layout.players if p not in set(dishonest))
         return cls(dishonest=dishonest, honest=honest)
 
 
@@ -195,7 +194,9 @@ def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
         g, _ = _grouped(pure.layout, pure.vector, [dbar] + adversary)
         m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
         _, adv, cols = m.shape
-        yield spec, [(i, m[i] / norm) for i, norm in branches], adv, cols
+        factors = [(i, m[i] / norm) for i, norm in branches]
+        del g, m  # the factors are copies; the regrouping need not outlive them
+        yield spec, factors, adv, cols
 
 
 def check_condition_ii(

@@ -20,6 +20,17 @@ def max_ent():
     return q.maximally_entangled(2)
 
 
+@pytest.fixture(scope="session")
+def env_densities():
+    """Densities that hold an environment register E: a purified private
+    state, and a purified private pair composed with the example."""
+    rng = np.random.default_rng(1706)
+    purified = q.purify(q.random_private_state(2, (2, 2), rng)).to_density()
+    pair = q.purify(q.random_private_state(2, (1, 2), rng))
+    composite, _ = q.compose(pair, q.build_example_state(), check=False)
+    return [purified, composite.to_density()]
+
+
 @pytest.fixture()
 def biased_state():
     # sqrt(1/3)|0,0> + sqrt(2/3)|1,1> on dealer + one player, d=2

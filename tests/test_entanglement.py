@@ -30,6 +30,18 @@ def test_ppt_product_state_has_no_negativity():
     assert abs(result.min_eigenvalue) < 1e-12
 
 
+def test_a_bare_string_is_one_name_in_a_cut(example_state):
+    layout = example_state.layout
+    pairs = [(q.CutSpec.dealer_cut(layout, "A1"), q.CutSpec.dealer_cut(layout, ["A1"])),
+             (q.CutSpec.from_side_two(layout, "A1.info"),
+              q.CutSpec.from_side_two(layout, ["A1.info"]))]
+    assert pairs[1][0].side_two == ("A1.info",)
+    for bare, listed in pairs:
+        assert bare == listed
+        for state in (example_state, example_state.to_density()):
+            assert q.ppt_check(state, bare) == q.ppt_check(state, listed)
+
+
 def test_ppt_maximally_entangled_hits_minus_half(max_ent):
     cut = q.CutSpec.dealer_cut(max_ent.layout, ["A1"])
     result = q.ppt_check(max_ent, cut)

@@ -143,7 +143,7 @@ def test_compose_with_dimension_one_registers_is_the_stride_product(d):
         assert_compose_is_the_stride_product(padded_state(d, 2, 3, rng, pure_a), b)
 
 
-def test_the_ppt_index_map_is_the_stride_map():
+def test_the_ppt_index_map_is_the_stride_map(env_densities):
     rng = np.random.default_rng(1704)
     layouts = [
         q.build_example_state().layout,
@@ -154,15 +154,24 @@ def test_the_ppt_index_map_is_the_stride_map():
         labeled_layout([(DEALER, "info", 1), ("A1", "info", 1)]),  # dimension 1
     ]
     assert len(layouts[3]) == 40
+    layouts += [s.layout for s in env_densities]  # with an environment register
+    checks = []
     for layout in layouts:
         labels = layout.labels
         subsets = [[l] for l in labels]
         subsets += [list(rng.choice(labels, size=k, replace=False))
                     for k in range(2, len(labels) + 1) for _ in range(3)]
-        for over in subsets:
-            got = entanglement._transpose_shift(layout, over)
-            want = stride_transpose_shift(layout, over)
-            assert got.dtype == want.dtype and np.array_equal(got, want), over
+        checks += [(layout, over) for over in subsets]
+    # every 16th of the 2,047 splits that `qcr ppt --cuts all` makes of GHZ(2, 11)
+    ghz = q.build_ghz_qcr(2, 11).layout
+    big = [l for l in ghz.labels if ghz.subsystem(l).dim > 1]
+    splits = [two for r in range(1, len(big)) for two in itertools.combinations(big[1:], r)]
+    assert len(splits) == 2047
+    checks += [(ghz, list(two)) for two in splits[::16]]
+    for layout, over in checks:
+        got = entanglement._transpose_shift(layout, over)
+        want = stride_transpose_shift(layout, over)
+        assert got.dtype == want.dtype and np.array_equal(got, want), over
 
 
 # -- the relabel against the permutation matrix it replaced -------------------

@@ -175,6 +175,18 @@ def test_identity_map_reads_the_matrix_itself():
     assert q.trace_distance(a, b) == want
 
 
+def test_environment_registers_stay_off_both_sides_of_every_dealer_cut(env_densities):
+    for state in env_densities:
+        env = set(state.layout.env_labels)
+        assert env and not state.is_pure
+        report = q.all_dealer_cuts_ppt(state)
+        assert len(report.cuts) == 2 ** state.layout.n_players - 1
+        for cut in report.cuts:
+            assert not env & set(cut.side_one + cut.side_two), cut
+            want = np.linalg.eigvalsh(q.partial_transpose(state, cut.side_two))[0]
+            assert abs(cut.min_eigenvalue - want) <= 1e-12, cut
+
+
 def peak_of(fn):
     tracemalloc.start()
     try:

@@ -416,6 +416,17 @@ def test_measure_computational_completeness():
             assert again[oc.digits] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("floor", [-1.0, float("nan")])
+def test_measure_computational_refuses_a_negative_or_nan_floor(floor):
+    # such a floor kept the probability-0 outcomes, with all-NaN states
+    for state in (q.maximally_entangled(2), q.build_ghz_qcr(2, 1)):
+        info = state.layout.info_labels
+        with pytest.raises(ValueError, match="^prob_floor must be >= 0, got"):
+            q.measure_computational(state, info, prob_floor=floor)
+        assert len(q.measure_computational(state, info, prob_floor=0.0)) == 2
+    assert q.build_ghz_qcr(2, 1).is_pure and not q.maximally_entangled(2).is_pure
+
+
 def test_measure_computational_drops_zero_branches(example_state):
     outcomes = q.measure_computational(
         example_state, ["D.info", "A1.info", "A2.info"]
