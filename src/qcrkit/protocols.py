@@ -4,7 +4,8 @@ reduce: a dishonest subset measures its info registers and announces the
 digits; the dealer shifts its own register by the announced digit sum and
 the remaining parties are left holding a smaller resource state. The
 projection and the trace over the measured players' shields are one step
-(``states._project_trace``), which copies no block of a density.
+(``states._project_trace``), which copies no block of a density beyond
+the support entries it adds.
 
 compose: the dealer merges two resource states it shares with disjoint
 player groups by adding one info register into the other (modular

@@ -14,9 +14,13 @@ registers of a vector, a matrix or the index range to the front. The
 ``_runs`` views do density picks: a density reshaped to one row and one
 column axis per run of adjacent registers in one group (picked, traced or
 kept) is indexed in place. ``_digits`` and ``_flat`` do maps of support
-rows. ``_project_trace`` does every projection and partial trace, copying
-no block of a density. Dimension-1 registers carry no axis, so the
-register count sets no ceiling.
+rows. ``_project_trace`` does every projection and partial trace. A
+density's partial trace adds each traced digit string's block through a
+view or, where the support leaves most of those blocks zero, only each
+string's support rows x rows, gathered; ``_gathers`` makes that choice,
+as ``_strips`` chooses between a view and a gather of a support block.
+Dimension-1 registers carry no axis, so the register count sets no
+ceiling.
 
 ``trace_norm`` and ``partial_transpose`` stay as the public forms and the
 tests' oracles.
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from math import prod
+from math import isfinite, prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -324,6 +328,46 @@ def _strips(m: np.ndarray, support: np.ndarray | None) -> tuple[int, Callable]:
     return m.shape[0], lambda r, c: m[r, c]
 
 
+# the cost of each step of a gathered partial trace, in entries added
+# through a view: per entry gathered, per traced string gathered, and once
+_GATHER_ENTRY, _GATHER_STRING, _GATHER_SETUP = 5, 7600, 8000
+_VIEW_STRING = 600
+
+
+def _gathers(hit: np.ndarray, traced: tuple, scale: float | None) -> bool:
+    """Whether a partial trace gathers each traced string's support block rather than adding views.
+
+    hit marks the picked block's support rows, with its traced axes at
+    traced and its kept axes at the rest. A view adds a whole kept x kept
+    block per traced digit string; a gather adds only the string's support
+    rows x rows, at a higher cost per entry and per string
+    (``_trace_groups``). Like ``_strips`` for a support block, it gathers
+    when that costs less. A 1/p scale that is not finite makes the zeros
+    off the support NaN, so then only the views are exact.
+    """
+    strings = prod(hit.shape[i] for i in traced)
+    block = hit.size // strings
+    views = strings * (block * block + _VIEW_STRING)
+    if views <= _GATHER_SETUP or (scale is not None and not isfinite(scale)):
+        return False
+    counts = hit.sum(axis=tuple(i for i in range(hit.ndim) if i not in traced))
+    gather = _GATHER_ENTRY * int(np.sum(counts * counts)) + _GATHER_STRING * int(np.count_nonzero(counts))
+    return _GATHER_SETUP + gather < views
+
+
+def _trace_groups(hit: np.ndarray, traced: tuple, index: np.ndarray):
+    """Per traced digit string that holds support rows, ascending: its rows of rho and of the output.
+
+    hit and index (rho's row numbers) span the picked block, as ``_gathers`` reads hit.
+    """
+    axes = traced + tuple(i for i in range(hit.ndim) if i not in traced)
+    strings = prod(hit.shape[i] for i in traced)
+    t, c = np.nonzero(hit.transpose(axes).reshape(strings, -1))
+    r = index.transpose(axes).reshape(strings, -1)[t, c]
+    cuts = np.flatnonzero(np.diff(t)) + 1
+    return zip(np.split(r, cuts), np.split(c, cuts))
+
+
 def _max_asymmetry(m: np.ndarray, support: np.ndarray | None = None) -> float:
     """max |m - m^dag| over all entries, without a dim x dim temporary.
 
@@ -460,8 +504,12 @@ def _project_trace(
     A density is read through one view of its runs (``_runs``): the traced
     diagonal blocks of the block at the picked digits are scaled by 1/p, as
     complex division by its trace p scales, and added into a zeroed output
-    in ascending digit order onto +0.0, as the two steps add them. Without
-    over the block is divided as it is; without on nothing is divided.
+    in ascending digit order onto +0.0, as the two steps add them. Where
+    ``_gathers`` finds it cheaper, each block's entries on the support rows
+    alone are gathered and added at the output rows they keep: every entry
+    left out is a zero, which adds nothing to +0.0 or to a sum, so the
+    bytes are the same. Without over the block is divided as it is;
+    without on nothing is divided.
     """
     layout = state.layout
     k = _digit_index(layout, on, digits)
@@ -488,17 +536,26 @@ def _project_trace(
         return max(p, 0.0), None
     rho = np.zeros((new_layout.total_dim,) * 2, dtype=np.complex128)
     out = rho.reshape(tuple(n for g, n, _ in runs if not g) * 2)
+    # the picked block's support rows, one axis per run not picked; the
+    # output's support lies on their kept digits
+    hit = _mask(state.dim, state._support).reshape(shape)[pick]
+    traced = tuple(i for i, g in enumerate(g for g, _, _ in runs if g != 1) if g == 2)
+    rows = np.flatnonzero(hit.any(axis=traced))
+    scale = 1.0 / p if on else None
     if not over:
         np.divide(view[pick * 2], p, out=out)
+    elif _gathers(hit, traced, scale):
+        # a zero entry added onto +0.0 or onto a sum leaves it as it is, so
+        # only each string's support rows x rows are added, strings ascending
+        index = np.arange(state.dim, dtype=np.intp).reshape(shape)[pick]
+        for r, c in _trace_groups(hit, traced, index):
+            block = state.matrix[np.ix_(r, r)]
+            rho[np.ix_(c, c)] += block * scale if on else block
     else:  # traced digit strings in ascending order, as np.ndindex runs them
         strings = (range(n) if g == 2 else [x] for (g, n, _), x in zip(runs, pick))
         for idx in itertools.product(*strings):
             block = view[idx * 2]
-            np.add(out, block * (1.0 / p) if on else block, out=out)
-    # the output's support lies on the kept digits of the picked support rows
-    hit = _mask(state.dim, state._support).reshape(shape)[pick]
-    traced = tuple(i for i, g in enumerate(g for g, _, _ in runs if g != 1) if g == 2)
-    rows = np.flatnonzero(hit.any(axis=traced))
+            np.add(out, block * scale if on else block, out=out)
     return p, _wrap(new_layout, rho, _product_rows(rows, p))
 
 
@@ -533,6 +590,11 @@ def _gram_side(rows: int, cols: int) -> str:
     difference itself.
     """
     return "qr" if cols < rows else "dense"
+
+
+def _gram_work(rows: int, cols: int) -> int:
+    """About the flops of ``_gram_difference_norm`` on factors of cols columns in total."""
+    return rows * cols * cols + cols**3 if _gram_side(rows, cols) == "qr" else rows**3
 
 
 def _gram_difference_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -26,7 +26,13 @@ M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. The
 trace distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken
 on the smaller side: from the QR triangle of [Ma Mb] when the two factors
 have fewer columns than the adversary has dimensions, else from the
-adversary-sized difference.
+adversary-sized difference. A purified density's factors are first pruned
+(``_pruned``) when the pair would cost enough: the adversary rows that are
+zero in every branch and each branch's zero columns are dropped, read off
+the purification's support, which leaves M M^dag's nonzero eigenvalues as
+they are. The resource states are supported on digit-sum-zero strings, so
+on the 1024-dim composite a 64 x 64 difference becomes 16 x 16 or a
+32 x 16 QR. A vector's factors are never pruned.
 """
 from __future__ import annotations
 
@@ -44,12 +50,18 @@ from .states import (
     _branch,
     _gram_difference_norm,
     _gram_side,
+    _gram_work,
     _grouped,
+    _mask,
     measurement_distribution,
     purify,
 )
 
 logger = logging.getLogger("qcrkit")
+
+# a pair of branch factors that costs fewer flops (``_gram_work``) than
+# this is cheaper to compare whole than to prune (``_pruned``)
+_PRUNE_WORK = 2**15
 
 
 @dataclass(frozen=True)
@@ -176,6 +188,12 @@ def check_condition_i(state: QuantumState, tol: float = defaults.VERIFY_TOL) -> 
     )
 
 
+def _adversary(layout: SystemLayout, spec: CoalitionSpec) -> list[str]:
+    """The dishonest players' registers and the environment; the dealer's lab and honest players stay hidden."""
+    bad = set(spec.dishonest)
+    return [s.label for s in layout.subsystems if s.kind == "env" or s.party in bad]
+
+
 def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
     """Per coalition: spec, [(dealer digit, M)] per live branch, adversary dim, factor columns.
 
@@ -188,15 +206,30 @@ def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
     split = [_branch(row) for row in rows]  # (p, sqrt(p)) per dealer digit
     branches = [(i, norm) for i, (p, norm) in enumerate(split) if p > defaults.PROB_FLOOR]
     for spec in specs:
-        bad = set(spec.dishonest)
-        # the dishonest players and the environment; the dealer's lab and honest players stay hidden
-        adversary = [s.label for s in pure.layout.subsystems if s.kind == "env" or s.party in bad]
-        g, _ = _grouped(pure.layout, pure.vector, [dbar] + adversary)
+        g, _ = _grouped(pure.layout, pure.vector, [dbar] + _adversary(pure.layout, spec))
         m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
         _, adv, cols = m.shape
         factors = [(i, m[i] / norm) for i, norm in branches]
         del g, m  # the factors are copies; the regrouping need not outlive them
         yield spec, factors, adv, cols
+
+
+def _pruned(layout: SystemLayout, support: np.ndarray, spec: CoalitionSpec,
+            factors: list, adv: int) -> list:
+    """factors without the adversary rows that are zero in every branch and each branch's zero columns.
+
+    support masks the nonzero entries of the purification on layout that
+    the (adv, cols) factors come from. M M^dag loses only zero rows and
+    columns, so its nonzero eigenvalues stay. Factors with nothing to drop
+    come back as they are.
+    """
+    hit, _ = _grouped(layout, support, [layout.info_label(DEALER)] + _adversary(layout, spec))
+    hit = hit.reshape(-1, adv, hit.shape[1])[[i for i, _ in factors]]
+    rows = np.flatnonzero(hit.any(axis=(0, 2)))
+    cols = [np.flatnonzero(c) for c in hit.any(axis=1)]
+    if rows.size == adv and all(c.size == hit.shape[2] for c in cols):
+        return factors
+    return [(i, m[rows[:, None], c]) for (i, m), c in zip(factors, cols)]
 
 
 def check_condition_ii(
@@ -211,7 +244,9 @@ def check_condition_ii(
 
     Every coalition logs one DEBUG line on the ``qcrkit`` logger: adversary
     dimension, columns of each branch factor, the trace-norm path (``qr``
-    or ``dense``) and the maximum distance.
+    or ``dense``) that the pair at the maximum distance took (``-``
+    without a pair) and the maximum distance. A density's factors may be
+    pruned first (``_pruned``), so that path is read from the pruned pair.
     """
     layout = state.layout
     layout.require_crypto_form()
@@ -224,17 +259,24 @@ def check_condition_ii(
     elif exhaustive:
         raise ValueError("pass either exhaustive=True or coalitions, not both")
     specs = [CoalitionSpec.for_layout(layout, c) for c in coalitions]
+    pure = state if state.is_pure else purify(state)
+    # a purified density's zero rows and columns are read off its support;
+    # a vector's factors, and a density's whose support is full, stay whole
+    sparse = not state.is_pure and state._support.size < state.dim
+    support = _mask(pure.dim, pure._support) if sparse else None
     reports = []
-    for spec, factors, adv, cols in _coalition_factors(state, specs):
+    for spec, factors, adv, cols in _coalition_factors(pure, specs):
+        if sparse and _gram_work(adv, 2 * cols) >= _PRUNE_WORK:
+            factors = _pruned(pure.layout, support, spec, factors, adv)
         distances = [
-            (_gram_difference_norm(ma, mb), (i, j))
+            (_gram_difference_norm(ma, mb), (i, j), _gram_side(ma.shape[0], ma.shape[1] + mb.shape[1]))
             for (i, ma), (j, mb) in itertools.combinations(factors, 2)
         ]
-        dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
+        dmax, worst, path = max(distances, key=lambda t: t[0], default=(0.0, None, "-"))
         logger.debug(
             "condition ii: coalition %s, adversary dim %d, factor columns %d, "
             "path %s, max distance %.3e",
-            ",".join(spec.dishonest) or "-", adv, cols, _gram_side(adv, 2 * cols), dmax,
+            ",".join(spec.dishonest) or "-", adv, cols, path, dmax,
         )
         reports.append(
             CoalitionReport(

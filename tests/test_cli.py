@@ -249,6 +249,31 @@ def test_reduce_keep_validation(example_file, tmp_path):
     assert main(["reduce", example_file, "--keep", "A9", "--out", out]) == 64
 
 
+def test_reduce_of_a_sparse_composite_gathers_its_support_blocks(tmp_path, monkeypatch):
+    # the CI workflow's installed-script step runs these three commands
+    from qcrkit import states
+
+    routes = []
+    choose = states._gathers
+
+    def spy(*args):
+        routes.append(bool(choose(*args)))
+        return routes[-1]
+
+    monkeypatch.setattr(states, "_gathers", spy)
+    p, ex, c = (str(tmp_path / name) for name in ("p.json", "ex.json", "c.json"))
+    assert main(["construct", "private", "--d", "2", "--shield-dims", "2,2", "--random",
+                 "--seed", "1", "--out", p]) == 0
+    assert main(["construct", "example", "--out", ex]) == 0
+    assert main(["compose", p, ex, "--out", c]) == 0
+    assert main(["reduce", c, "--keep", "A2,A3", "--out", str(tmp_path / "r.json")]) == 0
+    assert routes == [True, True]  # one gathered trace of A1's shield per branch
+    want = q.reduce(q.read_state(c), ["A1"], check=False)
+    for oc in want:
+        got = q.read_state(tmp_path / f"r.b{oc.digits[0]}.json")
+        assert np.array_equal(got.matrix, oc.state.matrix)
+
+
 def test_reduce_rejects_uncertified_input(tmp_path):
     layout = q.standard_layout(2, 2)
     junk = q.QuantumState.basis_state(layout, (0,) * 6)

@@ -7,6 +7,13 @@ oracles below are the formulas they replaced: regroup the whole array
 with ``states._grouped``, then take one diagonal block, trace over the
 traced axes, or write each outcome's block into a zeroed grouped copy.
 Outputs must be the same bytes, +0.0 zeros included.
+
+Where the support leaves most traced blocks zero, a partial trace gathers
+each traced digit string's support rows x rows instead of adding whole
+blocks through the view (``states._gathers``). Those inputs (sparse
+composites, mixed GHZ densities, a PPT key state, -0.0 off the support)
+are held to the same oracles, and to the view route itself, run on the
+same call with the gather switched off.
 """
 import itertools
 import tracemalloc
@@ -17,6 +24,7 @@ import pytest
 import qcrkit as q
 from qcrkit import states
 from qcrkit.registers import DEALER, labeled_layout
+from test_ppt_key_state import ppt_key_state
 
 
 def grouped_partial_trace(state, over):
@@ -286,3 +294,170 @@ def test_reduce_of_the_1024_composite_matches_the_two_steps_and_copies_no_block(
     outcomes, peak = peak_bytes(lambda: q.reduce(rho, ["A1"], check=False))
     assert len(outcomes) == 2
     assert peak < 0.30 * rho.matrix.nbytes
+
+
+# -- the gathered partial trace ------------------------------------------
+
+
+def composite(seed):
+    """A 1024-dim composite: a seeded private state composed with the example's density."""
+    a = q.random_private_state(2, (2, 2), np.random.default_rng(seed))
+    merged, _ = q.compose(a, q.build_example_state().to_density(), check=False)
+    assert merged.dim == 1024 and merged._support.size == 32
+    return merged
+
+
+def negative_zeros(state):
+    """state's density with every zero entry, off its support and on it, as -0.0 - 0.0j."""
+    m = state.matrix.copy()
+    m[m == 0] = complex(-0.0, -0.0)
+    out = q.QuantumState(state.layout, matrix=m)
+    assert np.array_equal(out._support, state._support)
+    return out
+
+
+GATHERED = {
+    "composite seed 1": lambda: composite(1),
+    "composite seed 2": lambda: composite(2),
+    "composite seed 3": lambda: composite(3),
+    "mixed ghz(3,3)": lambda: q.build_ghz_qcr(
+        3, 3, q.ShieldSeed.random((3, 1, 3, 1), np.random.default_rng(2801))),
+    "mixed ghz(3,2)": lambda: q.build_ghz_qcr(
+        3, 2, q.ShieldSeed.random((3, 3, 1), np.random.default_rng(2802))),
+    "key state and example": lambda: q.compose(
+        ppt_key_state(2, 1.0), q.build_example_state(), check=False)[0],
+    "-0.0 off the support": lambda: negative_zeros(composite(1)),
+}
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Every ``_gathers`` choice made while the test runs."""
+    made = []
+    choose = states._gathers
+
+    def spy(*args):
+        made.append(bool(choose(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(states, "_gathers", spy)
+    return made
+
+
+def by_views(call):
+    """call() with the partial trace held to its views."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_gathers", lambda *args: False)
+        return call()
+
+
+def same_result(got, want):
+    (p, a), (r, b) = got, want
+    assert p == r
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.layout == b.layout
+        assert a._data.tobytes() == b._data.tobytes()
+        assert np.array_equal(a._support, b._support)
+
+
+def project_traces(state):
+    """Each player's info register picked and its shields traced, as reduce reads them, then
+    the first player's info register picked and every other register traced: no run is kept."""
+    layout = state.layout
+    calls = []
+    for player in layout.players:
+        info = layout.info_label(player)
+        shields = [l for l in layout.party_labels(player) if l != info]
+        for x in range(layout.subsystem(info).dim):
+            calls.append(([info], (x,), shields))
+    info = layout.info_label(layout.players[0])
+    rest = [l for l in layout.labels if l != info]
+    calls += [([info], (x,), rest) for x in range(layout.subsystem(info).dim)]
+    return calls
+
+
+@pytest.mark.parametrize("name", GATHERED)
+def test_gathered_traces_match_the_grouped_copy_and_the_views(name, routes):
+    state = GATHERED[name]()
+    labels = state.layout.labels
+    subsets = [[l] for l in labels] + [
+        [l for l in labels if l.startswith(p + ".")] for p in state.layout.players]
+    subsets.append([l for l in labels if "shield" in l])
+    assert_same_as_oracles(state, subsets)
+    for over in subsets:
+        same_result((1.0, q.partial_trace(state, over)),
+                    (1.0, by_views(lambda: q.partial_trace(state, over))))
+    for on, digits, over in project_traces(state):
+        same_result(states._project_trace(state, on, digits, over),
+                    by_views(lambda: states._project_trace(state, on, digits, over)))
+    players = state.layout.players
+    for dishonest in [[p] for p in players] + [list(players[1:])]:
+        got = [(o.digits, o.probability, o.state._data.tobytes())
+               for o in q.reduce(state, dishonest, check=False)]
+        assert got == two_step_reduce(state, dishonest), dishonest
+    assert True in routes
+
+
+@pytest.mark.parametrize("ones", [False, True])
+def test_a_gathered_trace_that_keeps_no_run(routes, ones):
+    # every register of dimension above 1 is picked or traced: a 1 x 1 output,
+    # with or without dimension-1 registers left over
+    rho = composite(1)
+    if ones:
+        regs = [(s.party, s.kind, s.dim) for s in rho.layout.subsystems] + [("A2", "shield", 1)] * 3
+        rho = q.QuantumState(labeled_layout(regs), matrix=rho.matrix)
+    rest = [l for l in rho.layout.labels if l != "A1.info" and rho.layout.subsystem(l).dim > 1]
+    for x in (0, 1):
+        got = states._project_trace(rho, ["A1.info"], (x,), rest)
+        assert got[1].layout.total_dim == 1 and len(got[1].layout.labels) == (3 if ones else 0)
+        same_result(got, by_views(lambda: states._project_trace(rho, ["A1.info"], (x,), rest)))
+        assert abs(got[1].matrix[0, 0] - 1.0) < 1e-12  # the trace of the normalized branch
+    assert routes == [True, True]
+
+
+def test_every_trace_gathered_matches_the_views(monkeypatch):
+    # the gather forced on wherever 1/p is finite, on dense and sparse inputs alike
+    monkeypatch.setattr(states, "_gathers",
+                        lambda hit, traced, scale: scale is None or np.isfinite(scale))
+    fixtures = seeded_fixtures() + reduce_fixtures() + [
+        ppt_key_state(2, 0.5), ppt_key_state(4, 1.0), many_register_state(np.random.default_rng(2803), False)]
+    for state in fixtures:
+        if state.is_pure:
+            continue
+        labels = state.layout.labels
+        for over in [[l] for l in labels] + [list(labels[1:]), list(labels[::2])]:
+            if over:
+                want = by_views(lambda: q.partial_trace(state, over))
+                assert q.partial_trace(state, over)._data.tobytes() == want._data.tobytes(), over
+        for on, digits, over in project_traces(state) if state.layout.players else []:
+            same_result(states._project_trace(state, on, digits, over),
+                        by_views(lambda: states._project_trace(state, on, digits, over)))
+
+
+def test_full_support_densities_stay_on_the_views(routes):
+    rng = np.random.default_rng(2804)
+    full = [
+        q.QuantumState(composite(1).layout, matrix=q.random_density(1024, rng)),
+        many_register_state(rng, False),
+    ]
+    for state in full:
+        assert state._support.size == state.dim
+        for player in state.layout.players:
+            q.reduce(state, [player], check=False)
+        labels = state.layout.labels
+        for k in range(1, 4):
+            q.partial_trace(state, list(labels[:k]))
+    assert routes and not any(routes)
+
+
+def test_the_gathered_trace_of_the_1024_composite_holds_its_output_and_support_blocks(routes):
+    # at the view route, the kept x kept block scaled by 1/p is a second output-sized array
+    rho = composite(1)
+    shields = [l for l in rho.layout.party_labels("A1") if l != "A1.info"]
+    (prob, post), peak = peak_bytes(lambda: states._project_trace(rho, ["A1.info"], (1,), shields))
+    assert routes == [True]
+    assert post.dim == 256 and prob > 0
+    rows = rho._support.size // 2  # the support rows with A1.info = 1
+    blocks = 2 * rows * rows * 16  # each gathered block and its scaled copy
+    assert peak <= post.matrix.nbytes + blocks + 2**15
