@@ -21,8 +21,8 @@ import numpy as np
 
 from . import defaults
 from .registers import (
-    DEALER, SystemLayout, _digit_sum_mask, _require_integer, is_integer_in, labeled_layout,
-    standard_layout, standard_parties,
+    DEALER, SystemLayout, _digit_sum_mask, _require_integer, _require_tolerance, is_integer_in,
+    labeled_layout, standard_layout, standard_parties,
 )
 from .states import (
     QuantumState, _check_cap, _check_unitary, _grouped, _relabel, _wrap, apply_controlled,
@@ -243,6 +243,7 @@ def build_twisted_qcr(
     the twisted state is a candidate, and callers should trust the verdict,
     not the construction.
     """
+    _require_tolerance(tol)
     layout = base.layout
     d = layout.qudit_dim
     n_info = len(layout.info_labels)

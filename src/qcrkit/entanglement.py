@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, SystemLayout, _names
+from .registers import DEALER, SystemLayout, _names, _require_tolerance
 from .states import QuantumState, _gram_difference_norm, _grouped, _mask, _strips
 
 logger = logging.getLogger("qcrkit")
@@ -146,8 +146,9 @@ def ppt_report(
     each block by block when it splits into several components (path
     ``blocks``, as for states with a cryptographic layout) or as one dense
     array otherwise (path ``dense``). Each cut logs its path on the
-    ``qcrkit`` logger at DEBUG. Every cut is validated before any work.
+    ``qcrkit`` logger at DEBUG. Every cut, and tol, is validated before any work.
     """
+    _require_tolerance(tol)
     layout = state.layout
     cuts = list(cuts)
     for cut in cuts:

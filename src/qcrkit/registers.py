@@ -14,7 +14,8 @@ covers, and ``entanglement.CutSpec.from_side_two`` takes side one as its
 complement. Name lists: ``_names`` reads a bare string as one name (cuts,
 coalitions). Digits and dimensions: ``is_integer_in`` is the one
 integer-and-range test, and ``_require_integer`` refuses by name an argument
-that fails it. The support, the digit strings that sum to t mod d:
+that fails it; ``_require_tolerance`` refuses a tol that is not a finite
+number >= 0. The support, the digit strings that sum to t mod d:
 ``_digit_sum_mask``, read by ``index_set``, the verifier and the builders.
 """
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, prod
-from numbers import Integral
+from math import inf, isfinite, prod
+from numbers import Integral, Real
 from typing import Container, Iterable, Sequence
 
 import numpy as np
@@ -43,6 +44,12 @@ def _require_integer(x: object, what: str) -> None:
     """Refuse a non-integer argument by name, before any range test compares it."""
     if not is_integer_in(x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def _require_tolerance(tol: object) -> None:
+    """Refuse a tolerance that is not a finite number >= 0: NaN fails every test, inf passes them all."""
+    if not (isinstance(tol, Real) and type(tol) is not bool and isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _names(x: Iterable[str] | str) -> tuple[str, ...]:

@@ -54,7 +54,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import defaults
-from .registers import ENV_PARTY, Subsystem, SystemLayout, is_integer_in
+from .registers import ENV_PARTY, Subsystem, SystemLayout, _require_integer, is_integer_in
 
 logger = logging.getLogger("qcrkit")
 
@@ -692,6 +692,7 @@ def _digit_index(layout: SystemLayout, labels: Sequence[str], digits: Sequence[i
     for label, x in zip(labels, digits):
         d = layout.subsystem(label).dim
         if not is_integer_in(x, 0, d):
+            _require_integer(x, f"digit for register {label!r}")
             raise ValueError(f"digit {x} out of range for register {label!r} (dim {d})")
         k = k * d + int(x)
     return k

@@ -18,21 +18,20 @@ exhaustive mode.
 Condition (i) reads the support as one boolean mask, ``_digit_sum_mask``.
 
 Condition (ii) works from branch factors, never from adversary-sized
-densities, made in one pass by ``_coalition_factors``. The global pure
-vector (the state, or its purification) is split by dealer digit once,
-for the branch probabilities p. Per coalition it is regrouped once as
+densities, made in one pass by ``_coalition_factors``. A density is
+purified, and the pure vector is split by dealer digit once, for the branch
+probabilities p. Per coalition it is regrouped once as
 m = (dealer digit, adversary, hidden), and branch i's factor
-M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. The
+M = m[i] / sqrt(p_i) gives the adversary's state M M^dag. When a purified
+density's pair would cost enough, that same regrouping's nonzero entries
+prune M: only the adversary rows that some live branch uses and each
+branch's nonzero columns are kept, which leaves M M^dag's nonzero
+eigenvalues as they are. The resource states are supported on
+digit-sum-zero strings, so on the 1024-dim composite a 64 x 64 difference
+becomes 16 x 16 or a 32 x 16 QR. A vector's factors are never pruned. The
 trace distance of two branches, ||Ma Ma^dag - Mb Mb^dag||_1, is then taken
 on the smaller side: from the QR triangle of [Ma Mb] when the two factors
-have fewer columns than the adversary has dimensions, else from the
-adversary-sized difference. A purified density's factors are first pruned
-(``_pruned``) when the pair would cost enough: the adversary rows that are
-zero in every branch and each branch's zero columns are dropped, read off
-the purification's support, which leaves M M^dag's nonzero eigenvalues as
-they are. The resource states are supported on digit-sum-zero strings, so
-on the 1024-dim composite a 64 x 64 difference becomes 16 x 16 or a
-32 x 16 QR. A vector's factors are never pruned.
+have fewer columns than they have rows, else from the difference itself.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults
-from .registers import DEALER, SystemLayout, _digit_sum_mask, _names
+from .registers import DEALER, SystemLayout, _digit_sum_mask, _names, _require_tolerance
 from .states import (
     QuantumState,
     _branch,
@@ -52,7 +51,6 @@ from .states import (
     _gram_side,
     _gram_work,
     _grouped,
-    _mask,
     measurement_distribution,
     purify,
 )
@@ -60,7 +58,7 @@ from .states import (
 logger = logging.getLogger("qcrkit")
 
 # a pair of branch factors that costs fewer flops (``_gram_work``) than
-# this is cheaper to compare whole than to prune (``_pruned``)
+# this is cheaper to compare whole than to prune (``_coalition_factors``)
 _PRUNE_WORK = 2**15
 
 
@@ -170,6 +168,7 @@ class VerificationReport:
 
 def check_condition_i(state: QuantumState, tol: float = defaults.VERIFY_TOL) -> ConditionIReport:
     """Uniform perfect correlation of the info-register measurement."""
+    _require_tolerance(tol)
     layout = state.layout
     d = layout.qudit_dim
     info = layout.info_labels
@@ -195,12 +194,17 @@ def _adversary(layout: SystemLayout, spec: CoalitionSpec) -> list[str]:
 
 
 def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
-    """Per coalition: spec, [(dealer digit, M)] per live branch, adversary dim, factor columns.
+    """Per coalition: spec, [(dealer digit, M)] per live branch, M's adversary rows, adversary dim, columns.
 
-    Lazy, so the coalitions' regroupings are never all held at once. Branches are
-    weighed on the dealer split's rows; ``np.vdot`` on a regrouping's can differ in the last bits.
+    Lazy, so the coalitions' regroupings are never all held at once. Branches
+    are weighed on the dealer split's rows; ``np.vdot`` on a regrouping's can
+    differ in the last bits. A purified density whose support misses a row
+    has its factors pruned when the whole pair costs at least ``_PRUNE_WORK``:
+    the kept rows and columns are gathered, then divided by sqrt(p), and the
+    adversary's state is zero off the rows. Other factors are whole.
     """
     pure = state if state.is_pure else purify(state)
+    sparse = not state.is_pure and state._support.size < state.dim
     dbar = pure.layout.info_label(DEALER)
     rows, _ = _grouped(pure.layout, pure.vector, [dbar])
     split = [_branch(row) for row in rows]  # (p, sqrt(p)) per dealer digit
@@ -209,27 +213,16 @@ def _coalition_factors(state: QuantumState, specs: Sequence[CoalitionSpec]):
         g, _ = _grouped(pure.layout, pure.vector, [dbar] + _adversary(pure.layout, spec))
         m = g.reshape(len(rows), -1, g.shape[1])  # (dealer digit, adversary, hidden)
         _, adv, cols = m.shape
-        factors = [(i, m[i] / norm) for i, norm in branches]
+        if sparse and _gram_work(adv, 2 * cols) >= _PRUNE_WORK:
+            hit = m[[i for i, _ in branches]] != 0
+            kept = np.flatnonzero(hit.any(axis=(0, 2)))
+            factors = [(i, m[i][np.ix_(kept, np.flatnonzero(c))] / norm)
+                       for (i, norm), c in zip(branches, hit.any(axis=1))]
+        else:
+            kept = np.arange(adv)
+            factors = [(i, m[i] / norm) for i, norm in branches]
         del g, m  # the factors are copies; the regrouping need not outlive them
-        yield spec, factors, adv, cols
-
-
-def _pruned(layout: SystemLayout, support: np.ndarray, spec: CoalitionSpec,
-            factors: list, adv: int) -> list:
-    """factors without the adversary rows that are zero in every branch and each branch's zero columns.
-
-    support masks the nonzero entries of the purification on layout that
-    the (adv, cols) factors come from. M M^dag loses only zero rows and
-    columns, so its nonzero eigenvalues stay. Factors with nothing to drop
-    come back as they are.
-    """
-    hit, _ = _grouped(layout, support, [layout.info_label(DEALER)] + _adversary(layout, spec))
-    hit = hit.reshape(-1, adv, hit.shape[1])[[i for i, _ in factors]]
-    rows = np.flatnonzero(hit.any(axis=(0, 2)))
-    cols = [np.flatnonzero(c) for c in hit.any(axis=1)]
-    if rows.size == adv and all(c.size == hit.shape[2] for c in cols):
-        return factors
-    return [(i, m[rows[:, None], c]) for (i, m), c in zip(factors, cols)]
+        yield spec, factors, kept, adv, cols
 
 
 def check_condition_ii(
@@ -245,9 +238,11 @@ def check_condition_ii(
     Every coalition logs one DEBUG line on the ``qcrkit`` logger: adversary
     dimension, columns of each branch factor, the trace-norm path (``qr``
     or ``dense``) that the pair at the maximum distance took (``-``
-    without a pair) and the maximum distance. A density's factors may be
-    pruned first (``_pruned``), so that path is read from the pruned pair.
+    without a pair) and the maximum distance. The coalitions' factors come
+    from one pass (``_coalition_factors``), which purifies a density and may
+    prune its factors, so that path is read from the pruned pair.
     """
+    _require_tolerance(tol)
     layout = state.layout
     layout.require_crypto_form()
     players = layout.players
@@ -259,15 +254,8 @@ def check_condition_ii(
     elif exhaustive:
         raise ValueError("pass either exhaustive=True or coalitions, not both")
     specs = [CoalitionSpec.for_layout(layout, c) for c in coalitions]
-    pure = state if state.is_pure else purify(state)
-    # a purified density's zero rows and columns are read off its support;
-    # a vector's factors, and a density's whose support is full, stay whole
-    sparse = not state.is_pure and state._support.size < state.dim
-    support = _mask(pure.dim, pure._support) if sparse else None
     reports = []
-    for spec, factors, adv, cols in _coalition_factors(pure, specs):
-        if sparse and _gram_work(adv, 2 * cols) >= _PRUNE_WORK:
-            factors = _pruned(pure.layout, support, spec, factors, adv)
+    for spec, factors, _, adv, cols in _coalition_factors(state, specs):
         distances = [
             (_gram_difference_norm(ma, mb), (i, j), _gram_side(ma.shape[0], ma.shape[1] + mb.shape[1]))
             for (i, ma), (j, mb) in itertools.combinations(factors, 2)

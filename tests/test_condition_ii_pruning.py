@@ -1,14 +1,16 @@
 """Condition (ii) on pruned branch factors against the whole factors.
 
-Before a purified density's branch factors are compared, the adversary
-rows that are zero in every branch and each branch's zero columns are
-dropped (``verify._pruned``), read off the purification's support. The
-oracle compares every pair on the whole factors that
-``verify._coalition_factors`` yields. Distances must agree within 1e-12,
-with the same verdicts, branch counts and worst pairs; a vector's factors
-are never pruned.
+``verify._coalition_factors`` prunes a purified density's branch factors
+in its one regrouping pass: the adversary rows that are zero in every
+branch and each branch's zero columns are left out, read off that
+regrouping's nonzero entries. The oracle compares every pair of whole
+factors, made by the same pass with pruning switched off. Distances must
+agree within 1e-12, with the same verdicts, branch counts and worst pairs;
+a vector's factors are never pruned.
 """
 import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ DENSITIES = {
     "private d=3 #1": lambda: private(3, 1),
     "key state s=2 c=0.5": lambda: ppt_key_state(2, 0.5),
     "key state s=4 c=1": lambda: ppt_key_state(4, 1.0),
+    "mixed ghz(2,4)": lambda: q.build_ghz_qcr(2, 4, q.ShieldSeed.random((2,) * 5, np.random.default_rng(2815))),
     "full rank 64": lambda: q.QuantumState(
         q.standard_layout(2, 2, (2, 2, 2)), matrix=q.random_density(64, np.random.default_rng(2812))),
     "full rank 256": lambda: q.QuantumState(
@@ -50,38 +53,36 @@ DENSITIES = {
 def whole_factor_reports(state, specs):
     """(max distance, worst pair, branches) per coalition, from every pair of whole factors."""
     out = []
-    for _, factors, _, _ in verify._coalition_factors(state, specs):
-        distances = [(_gram_difference_norm(ma, mb), (i, j))
-                     for k, (i, ma) in enumerate(factors) for j, mb in factors[k + 1:]]
-        dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
-        out.append((dmax, worst, len(factors)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_PRUNE_WORK", math.inf)  # no pair costs that much
+        for _, factors, rows, adv, _ in verify._coalition_factors(state, specs):
+            assert rows.size == adv
+            distances = [(_gram_difference_norm(ma, mb), (i, j))
+                         for k, (i, ma) in enumerate(factors) for j, mb in factors[k + 1:]]
+            dmax, worst = max(distances, key=lambda t: t[0], default=(0.0, None))
+            out.append((dmax, worst, len(factors)))
     return out
 
 
-@pytest.fixture
-def pruning(monkeypatch):
-    """The (before, after) factor shapes of every ``_pruned`` call."""
-    calls = []
-    prune = verify._pruned
+def factor_shapes(state, specs):
+    """Per coalition: (adversary dim, columns), and each factor's shape, as the pass yields them."""
+    return [((adv, cols), [m.shape for _, m in factors])
+            for _, factors, _, adv, cols in verify._coalition_factors(state, specs)]
 
-    def spy(layout, support, spec, factors, adv):
-        kept = prune(layout, support, spec, factors, adv)
-        calls.append(([m.shape for _, m in factors], [m.shape for _, m in kept]))
-        return kept
 
-    monkeypatch.setattr(verify, "_pruned", spy)
-    return calls
+def specs_of(state, reports):
+    return [q.CoalitionSpec.for_layout(state.layout, r.dishonest) for r in reports]
 
 
 @pytest.mark.parametrize("everywhere", [False, True], ids=["by cost", "everywhere"])
 @pytest.mark.parametrize("name", DENSITIES)
-def test_pruned_distances_match_the_whole_factors(name, everywhere, pruning, monkeypatch):
+def test_pruned_distances_match_the_whole_factors(name, everywhere, monkeypatch):
     if everywhere:  # small factors are pruned too
         monkeypatch.setattr(verify, "_PRUNE_WORK", 0)
     state = DENSITIES[name]()
     assert not state.is_pure
     reports = q.check_condition_ii(state, exhaustive=True)
-    specs = [q.CoalitionSpec.for_layout(state.layout, r.dishonest) for r in reports]
+    specs = specs_of(state, reports)
     want = whole_factor_reports(state, specs)
     assert len(reports) == len(want)
     for report, (dmax, worst, branches) in zip(reports, want):
@@ -89,20 +90,46 @@ def test_pruned_distances_match_the_whole_factors(name, everywhere, pruning, mon
         assert report.passed == (dmax <= q.defaults.VERIFY_TOL)
         assert report.worst_pair == worst
         assert report.branches == branches
-    dropped = [before != after for before, after in pruning]
+    dropped = [any(shape != whole for shape in shapes) for whole, shapes in factor_shapes(state, specs)]
     if name.startswith("full rank"):
-        assert not pruning  # a density with no zero row is never pruned
+        assert not any(dropped)  # a density with no zero row is never pruned
     elif everywhere or name.startswith("composite"):
         assert any(dropped)
 
 
-def test_the_composite_prunes_every_coalition_and_keeps_its_verdict(pruning):
+def test_the_composite_prunes_every_coalition_and_keeps_its_verdict():
     state = composite(1)
     report = q.is_qcr(state, tol=1e-9)
     assert report.verdict and report.max_coalition_distance < 1e-12
     # rank 4: 64 adversary rows (A1 or A2 with A3, and a 4-dim environment) by 32 hidden columns
-    assert [before for before, _ in pruning] == [[(64, 32)] * 2] * 3
-    assert [after for _, after in pruning] == [[(16, 16)] * 2, [(32, 8)] * 2, [(32, 8)] * 2]
+    assert factor_shapes(state, specs_of(state, report.coalitions)) == [
+        ((64, 32), [(16, 16)] * 2), ((64, 32), [(32, 8)] * 2), ((64, 32), [(32, 8)] * 2)]
+    # the smaller exhaustive coalitions cost less than ``_PRUNE_WORK`` whole, so stay whole
+    reports = q.check_condition_ii(state, exhaustive=True)
+    assert all(r.passed for r in reports)
+    assert [r.dishonest for r in reports] == [
+        (), ("A1",), ("A2",), ("A3",), ("A1", "A2"), ("A1", "A3"), ("A2", "A3")]
+    assert factor_shapes(state, specs_of(state, reports)) == [
+        ((4, 512), [(4, 512)] * 2),
+        ((16, 128), [(16, 128)] * 2), ((16, 128), [(16, 128)] * 2), ((16, 128), [(16, 128)] * 2),
+        ((64, 32), [(32, 8)] * 2), ((64, 32), [(32, 8)] * 2), ((64, 32), [(16, 16)] * 2),
+    ]
+
+
+def test_condition_ii_on_the_composite_peaks_below_four_purified_vectors():
+    # the pass gathers only the kept entries of each factor; copying the
+    # whole 64 x 32 factors first peaked at 4.3 times the purified vector
+    state = composite(1)
+    pure = q.purify(state)
+    q.check_condition_ii(state)
+    tracemalloc.start()
+    try:
+        reports = q.check_condition_ii(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 3.8 * pure.vector.nbytes
 
 
 def test_the_debug_line_names_the_pruned_path(caplog):
@@ -128,13 +155,11 @@ def test_vectors_are_never_pruned(name, monkeypatch):
         "purified composite": lambda: q.purify(composite(1)),
     }[name]()
     assert state.is_pure and state._support.size < state.dim
-
-    def refuse(*args):
-        raise AssertionError("a vector's factors were pruned")
-
     monkeypatch.setattr(verify, "_PRUNE_WORK", 0)
-    monkeypatch.setattr(verify, "_pruned", refuse)
     reports = q.check_condition_ii(state, exhaustive=True)
-    specs = [q.CoalitionSpec.for_layout(state.layout, r.dishonest) for r in reports]
+    specs = specs_of(state, reports)
+    for _, factors, rows, adv, cols in verify._coalition_factors(state, specs):
+        assert np.array_equal(rows, np.arange(adv))
+        assert all(m.shape == (adv, cols) for _, m in factors)
     assert [(r.max_distance, r.worst_pair, r.branches) for r in reports] == \
         whole_factor_reports(state, specs)

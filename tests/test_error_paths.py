@@ -206,3 +206,62 @@ def test_crypto_form_refusals():
         layout_of(("A1.info", "A1", "info", 2)).require_crypto_form()
     with pytest.raises(ValueError, match="^qudit dimension must be >= 2, got 1$"):
         layout_of(("D.info", "D", "info", 1), ("A1.info", "A1", "info", 1)).require_crypto_form()
+
+
+# -- tolerances and digits ----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1e-9, float("inf"), "1e-9", None, True], ids=repr)
+def test_a_tolerance_that_is_not_a_finite_number_from_zero_is_refused_before_any_work(
+        bad, example_state, monkeypatch):
+    # a NaN tol once failed both conditions of a perfect state, blamed it in
+    # reduce and compose, and put NaN into the reports' to_dict()
+    def work(*args, **kwargs):
+        raise AssertionError("work began before tol was refused")
+
+    for module, name in [(q.verify, "purify"), (q.verify, "measurement_distribution"),
+                         (q.entanglement, "_block_spectra"),
+                         (q.entanglement, "_pure_min_eigenvalue"), (q.construct, "apply_controlled")]:
+        monkeypatch.setattr(module, name, work)
+    density = example_state.to_density()
+    cut = q.CutSpec.dealer_cut(example_state.layout, ["A1"])
+    base = q.build_ghz_qcr(2, 2, q.ShieldSeed.basis_zero((2, 1, 1)))
+    calls = [
+        lambda: q.is_qcr(example_state, tol=bad),
+        lambda: q.check_condition_i(example_state, tol=bad),
+        lambda: q.check_condition_ii(density, tol=bad),
+        lambda: q.ppt_report(density, [cut], tol=bad),
+        lambda: q.ppt_check(example_state, cut, tol=bad),
+        lambda: q.all_dealer_cuts_ppt(density, tol=bad),
+        lambda: q.reduce(example_state, ["A1"], tol=bad),
+        lambda: q.compose(example_state, q.maximally_entangled(2), tol=bad),
+        lambda: q.expand_from_private([q.maximally_entangled(2)] * 2, tol=bad),
+        lambda: q.build_twisted_qcr(base, q.TwistingFamily({}), tol=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, "
+                                             f"got {re.escape(repr(bad))}$"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, 1e-9, np.float64(0.5)], ids=repr)
+def test_a_finite_tolerance_from_zero_is_taken(tol, example_state):
+    assert q.is_qcr(example_state, tol=tol).verdict
+    assert q.all_dealer_cuts_ppt(example_state, tol=tol).tol == tol
+
+
+@pytest.mark.parametrize("bad", ["0", 0.0, 1.5, True, None], ids=repr)
+def test_a_digit_that_is_not_an_integer_is_named_before_its_range(bad):
+    # each was once reported as "digit 0 out of range for register 'D.info' (dim 2)"
+    message = f"^digit for register 'D.info' must be an integer, got {re.escape(repr(bad))}$"
+    pair = q.maximally_entangled(2)
+    for call in [lambda: q.project_registers(pair, ["D.info"], [bad]),
+                 lambda: q.project_registers(pair.to_density(), ["D.info"], [bad]),
+                 lambda: q.QuantumState.basis_state(pair.layout, [bad, 0, 0, 0]),
+                 lambda: q.apply_controlled(pair, ["D.info"], ["A1.info"], {(bad,): np.eye(2)})]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=message.replace("D.info", "A1.info")):
+        q.reduce(q.build_example_state(), ["A1"], outcome=(bad,), check=False)
+    with pytest.raises(ValueError, match=r"^digit 2 out of range for register 'D.info' \(dim 2\)$"):
+        q.project_registers(pair, ["D.info"], [2])

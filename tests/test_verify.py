@@ -293,7 +293,7 @@ def test_one_state_one_verdict_in_every_representation(exhaustive):
                 assert gap <= 1e-12, (name, key)
 
 
-@pytest.mark.parametrize("name", ["example", "private d=3", "mixed ghz(2,3)", "key state s=4"])
+@pytest.mark.parametrize("name", ["example", "private d=3", "mixed ghz(2,3)", "key state s=4", "composite"])
 def test_each_branch_factor_gives_the_adversary_state(name):
     # M M^dag is what the dishonest players and the environment hold once
     # the dealer has measured digit i, built here from the public API alone
@@ -306,6 +306,9 @@ def test_each_branch_factor_gives_the_adversary_state(name):
         "private d=3": lambda: q.random_private_state(3, (3, 3), rng),
         "mixed ghz(2,3)": lambda: q.build_ghz_qcr(2, 3, q.ShieldSeed.random((2,) * 4, rng)),
         "key state s=4": lambda: ppt_key_state(4, 1.0),
+        # the 1024-dim rank-4 density, whose larger coalitions' factors are pruned
+        "composite": lambda: q.compose(q.random_private_state(2, (2, 2), rng), q.build_example_state(),
+                                       check=False)[0],
     }[name]()
     reports = q.check_condition_ii(state, exhaustive=True)
     specs = [q.CoalitionSpec.for_layout(state.layout, c.dishonest) for c in reports]
@@ -313,18 +316,22 @@ def test_each_branch_factor_gives_the_adversary_state(name):
     assert len(yielded) == len(reports) == 2 ** state.layout.n_players - 1
     pure = q.purify(state)
     dealer = pure.layout.info_label("D")
-    for (spec, factors, adv, cols), report in zip(yielded, reports):
+    for (spec, factors, rows, adv, cols), report in zip(yielded, reports):
         assert spec.dishonest == report.dishonest
         assert len(factors) == report.branches
         adversary = {s.label for s in pure.layout.subsystems
                      if s.kind == "env" or s.party in spec.dishonest}
+        off = np.ones(adv, dtype=bool)
+        off[rows] = False
         for i, m in factors:
-            assert m.shape == (adv, cols)
+            # a pruned factor keeps only the rows and columns it uses
+            assert m.shape[0] == rows.size <= adv and m.shape[1] <= cols
             _, post = q.project_registers(pure, [dealer], [i])
             hidden = [l for l in post.layout.labels if l not in adversary]
             want = q.partial_trace(post, hidden).density_matrix()
             got = m @ m.conj().T
-            assert np.max(np.abs(got - want)) <= 1e-12, (spec.dishonest, i)
+            assert np.max(np.abs(got - want[np.ix_(rows, rows)])) <= 1e-12, (spec.dishonest, i)
+            assert not want[off].any() and not want[:, off].any(), (spec.dishonest, i)
 
 
 def test_condition_ii_holds_about_three_purifications_at_its_peak():
